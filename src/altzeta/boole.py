@@ -21,8 +21,6 @@ from dataclasses import dataclass
 from functools import lru_cache
 from typing import Callable
 
-import numpy as np
-
 from .errors import AccuracyError, CapacityError, DomainError
 from .euler import euler_number_at_zero, quasi_periodic_euler
 from .summation import ComplexCompensatedSum
@@ -95,14 +93,35 @@ def polynomial_function(coeffs) -> SmoothFunction:
     return SmoothFunction(deriv)
 
 
+def _legendre(n: int, x: float) -> tuple[float, float]:
+    """P_n(x) and P_n'(x) by the three-term recurrence (n >= 1, |x| < 1)."""
+    p0, p1 = 1.0, x
+    for k in range(2, n + 1):
+        p0, p1 = p1, ((2 * k - 1) * x * p1 - (k - 1) * p0) / k
+    return p1, n * (x * p1 - p0) / (x * x - 1.0)
+
+
 @lru_cache(maxsize=None)
 def _gauss_rule(order: int) -> tuple[tuple[float, ...], tuple[float, ...]]:
-    """Gauss-Legendre nodes and weights mapped to (0, 1)."""
-    nodes, weights = np.polynomial.legendre.leggauss(order)
-    return (
-        tuple(0.5 * (x + 1.0) for x in nodes),
-        tuple(0.5 * w for w in weights),
-    )
+    """Gauss-Legendre nodes and weights mapped to (0, 1), ascending.
+
+    Each root of P_n is polished by Newton iteration from
+    -cos(pi (i + 3/4) / (n + 1/2)); its weight on [-1, 1] is
+    2 / ((1 - x^2) P_n'(x)^2).
+    """
+    nodes, weights = [], []
+    for i in range(order):
+        x = -math.cos(math.pi * (i + 0.75) / (order + 0.5))
+        for _ in range(100):
+            p, dp = _legendre(order, x)
+            step = p / dp
+            x -= step
+            if abs(step) <= 1e-15:
+                break
+        _, dp = _legendre(order, x)
+        nodes.append(0.5 * (x + 1.0))
+        weights.append(1.0 / ((1.0 - x * x) * dp * dp))
+    return tuple(nodes), tuple(weights)
 
 
 def _kernel_integral(f: SmoothFunction, n_terms: int, alpha: int, beta: int, order: int) -> complex:

@@ -202,7 +202,7 @@ def cmd_eval(args, stdout) -> int:
         stdout.write(format_complex(record.result.value) + "\n")
     else:
         stdout.write(json.dumps(record.to_dict()) + "\n")
-    if record.result.error_estimate > args.tol:
+    if not record.result.error_estimate <= args.tol:
         return EXIT_ACCURACY
     return EXIT_OK
 
@@ -226,7 +226,7 @@ def cmd_table(args, stdout) -> int:
     else:
         payload = {"records": [record.to_dict() for record in records]}
         _write_text(args.out, json.dumps(payload, indent=2) + "\n", stdout)
-    if any(r.result.error_estimate > args.tol for r in records):
+    if any(not r.result.error_estimate <= args.tol for r in records):
         return EXIT_ACCURACY
     return EXIT_OK
 

@@ -1,19 +1,25 @@
 """Pochhammer symbols and the layered coefficients of the large-q expansions.
 
-The tail of the m-th derivative expansion carries coefficients of the form
-E_k(0) * g_m(k) where the layers g are nested harmonic-weighted sums:
+The tail of the m-th derivative expansion carries coefficients
+E_k(0) * g_m(k), where the layer g_i(j) is the coefficient of x^j in
 
-    g_0(j) = (z)_j / j!
-    g_i(j) = sum_{l=0}^{j-1} g_{i-1}(l) / (j - l)        (i >= 1).
+    G_i(x) = (1 - x)^(-z) * (-log(1 - x))^i.
 
-Differentiating g_i in z yields g_{i+1} (the derivative ladder), so the
-layer index counts derivative order.  The layer at index 0 extends the
-nested family downward so that the plain expansion tail is the m = 0 case
-of the same machinery.
+So g_0(j) = (z)_j / j!, and since d/dz G_i = G_{i+1}, g_i(j) is the i-th
+z-derivative of (z)_j / j!: the layer index counts derivative order, and
+the plain expansion tail is the m = 0 case of the same family.  Expanding
+the product gives the nested harmonic-weighted sums
+g_i(j) = sum_{l<j} g_{i-1}(l) / (j - l); differentiating in x gives
+(1 - x) G_i' = z G_i + i G_{i-1}, hence the first-order recurrence
+
+    (j + 1) g_i(j + 1) = (z + j) g_i(j) + i g_{i-1}(j),    g_i(0) = [i = 0],
+
+which is how the layers are computed: O(1) work per entry, and none of the
+cancellation the nested sums suffer at negative z.
 
 Layers are memoized per evaluation point in :class:`CoefficientCache`;
 arithmetic is exact (Fraction) when z is an integer or Fraction and complex
-floating point otherwise.  Empty inner sums are zero.
+floating point otherwise.
 """
 
 from __future__ import annotations
@@ -39,33 +45,45 @@ def pochhammer(z, k: int):
 
 
 def pochhammer_derivative(z, k: int):
-    """Derivative in z of (z)_k / k!, as sum_{j=0}^{k-1} (z)_j / (j! (k-j))."""
+    """Derivative in z of (z)_k / k!, which is the layer entry g_1(k).
+
+    Exact for int or Fraction inputs, complex otherwise.
+    """
     if k < 1:
         raise DomainError(f"order must be positive, got {k}")
-    exact = isinstance(z, (int, Fraction))
-    pj = Fraction(1) if exact else z * 0 + 1.0
-    total = pj * 0
-    for j in range(k):
-        total = total + pj / (math.factorial(j) * (k - j))
-        pj = pj * (z + j)
-    return total
+    return CoefficientCache(z).layer(1, k)
+
+
+def _grow(rows: list[list], m: int, j: int, factor) -> None:
+    """Extend rows[0..m] through index j by the layer recurrence
+    (t + 1) r_i(t + 1) = factor(t) r_i(t) + i r_{i-1}(t)."""
+    while len(rows) <= m:
+        rows.append([rows[0][0] * 0])
+    for i in range(m + 1):
+        row = rows[i]
+        for t in range(len(row) - 1, j):
+            v = factor(t) * row[t]
+            if i:
+                v += i * rows[i - 1][t]
+            row.append(v / (t + 1))
 
 
 class CoefficientCache:
     """Memoized layers g_i(j) for one fixed evaluation point z.
 
-    In floating mode a parallel table of magnitude convolutions is kept:
-    it bounds the scale against which rounding acts, so callers can tell an
-    exact zero evaluated in floats (pure noise) from a genuinely small
-    coefficient.  A cache must not be shared across threads; recomputation
-    from a fresh cache is always safe.
+    Each layer is grown by the first-order recurrence of the module
+    docstring.  In floating mode the same recurrence run on absolute values
+    (|z + j| and |g|) gives a magnitude table: it bounds the scale against
+    which rounding acts, so callers can tell an exact zero evaluated in
+    floats (pure noise) from a genuinely small coefficient.  A cache must
+    not be shared across threads; recomputation from a fresh cache is
+    always safe.
     """
 
     def __init__(self, z):
         self.z = z
         self.exact = isinstance(z, (int, Fraction))
         one = Fraction(1) if self.exact else complex(z) * 0 + (1.0 + 0.0j)
-        self._zero = one * 0
         self._layers: list[list] = [[one]]
         self._mag_layers: list[list[float]] | None = None if self.exact else [[1.0]]
 
@@ -85,36 +103,12 @@ class CoefficientCache:
         return self._mag_layers[m][j]
 
     def _ensure(self, m: int, j: int) -> None:
-        base = self._layers[0]
-        while len(base) <= j:
-            t = len(base) - 1
-            base.append(base[t] * (self.z + t) / (t + 1))
-        while len(self._layers) <= m:
-            self._layers.append([self._zero])
+        if m < len(self._layers) and j < len(self._layers[m]):
+            return  # both tables always grow together
+        z = self.z
+        _grow(self._layers, m, j, lambda t: z + t)
         if self._mag_layers is not None:
-            mag_base = self._mag_layers[0]
-            while len(mag_base) < len(base):
-                mag_base.append(abs(base[len(mag_base)]))
-            while len(self._mag_layers) <= m:
-                self._mag_layers.append([0.0])
-        for i in range(1, m + 1):
-            prev = self._layers[i - 1]
-            cur = self._layers[i]
-            while len(cur) <= j:
-                idx = len(cur)
-                acc = self._zero
-                for l in range(idx):
-                    acc = acc + prev[l] / (idx - l)
-                cur.append(acc)
-            if self._mag_layers is not None:
-                mag_prev = self._mag_layers[i - 1]
-                mag_cur = self._mag_layers[i]
-                while len(mag_cur) <= j:
-                    idx = len(mag_cur)
-                    total = 0.0
-                    for l in range(idx):
-                        total += mag_prev[l] / (idx - l)
-                    mag_cur.append(total)
+            _grow(self._mag_layers, m, j, lambda t: abs(z + t))
 
 
 def expansion_coefficient(cache: CoefficientCache, k: int, m: int):
@@ -142,8 +136,10 @@ def _neg_int_inner_layer(n: int, m: int, k: int) -> Fraction:
     """The braces of the truncated nested sum at z = -n, exact.
 
     Innermost layer: h_1(j) = sum_{l=0}^{min(n, j-1)} C(n, l) (-1)^l / (j-l);
-    outer layers convolve with harmonic weights exactly as in the generic
-    nest.  Returns h_m(k).
+    outer layers convolve with harmonic weights as in the nested-sum form
+    of the layers.  Returns h_m(k).  Built from the nested sums rather than
+    the recurrence, this is an independent exact check on
+    :class:`CoefficientCache`.
     """
     h = [Fraction(0)] * (k + 1)
     for j in range(1, k + 1):
@@ -160,44 +156,6 @@ def _neg_int_inner_layer(n: int, m: int, k: int) -> Fraction:
             nxt[j] = acc
         h = nxt
     return h[k]
-
-
-def neg_int_inner_layers_float(n: int, m: int, k_hi: int) -> tuple[list[float], list[float]]:
-    """Floating h_m(j) for j = 0..k_hi plus the matching magnitude scales.
-
-    Evaluator-side counterpart of :func:`_neg_int_inner_layer`; the second
-    list bounds the scale against which rounding acts, so exact zeros
-    evaluated in floats (pure noise) can be recognised and snapped to zero.
-    """
-    if m < 1:
-        raise DomainError(f"derivative order must be positive, got {m}")
-    if n < 0 or k_hi < 0:
-        raise DomainError(f"need n >= 0 and k_hi >= 0, got n={n}, k_hi={k_hi}")
-    h = [0.0] * (k_hi + 1)
-    mag = [0.0] * (k_hi + 1)
-    for j in range(1, k_hi + 1):
-        acc = 0.0
-        scale = 0.0
-        for l in range(min(n, j - 1) + 1):
-            term = math.comb(n, l) * (-1) ** l / (j - l)
-            acc += term
-            scale += abs(term)
-        h[j] = acc
-        mag[j] = scale
-    for _ in range(m - 1):
-        nxt = [0.0] * (k_hi + 1)
-        nxt_mag = [0.0] * (k_hi + 1)
-        for j in range(1, k_hi + 1):
-            acc = 0.0
-            scale = 0.0
-            for l in range(j):
-                acc += h[l] / (j - l)
-                scale += mag[l] / (j - l)
-            nxt[j] = acc
-            nxt_mag[j] = scale
-        h = nxt
-        mag = nxt_mag
-    return h, mag
 
 
 def expansion_coefficient_at_neg_int(k: int, m: int, n: int) -> Fraction:

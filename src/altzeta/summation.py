@@ -46,10 +46,3 @@ class ComplexCompensatedSum:
     @property
     def value(self) -> complex:
         return complex(self._re.value, self._im.value)
-
-
-def kahan_sum(values) -> float:
-    acc = CompensatedSum()
-    for v in values:
-        acc.add(v)
-    return acc.value

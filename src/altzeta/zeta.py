@@ -9,10 +9,11 @@ against each other:
   Cohen-Rodriguez Villegas-Zagier Chebyshev scheme; convergent for
   Re(z) > 0 and usable (flagged) as an empirical continuation elsewhere.
 * ``zeta_asymptotic`` / ``deriv1_asymptotic`` / ``deriv_m_asymptotic``:
-  divergent large-q expansions with fixed-length or smallest-term
-  truncation.  The m-th derivative is expressed through the lower orders
-  times powers of log q plus a tail whose coefficients come from
-  :mod:`altzeta.coefficients`.
+  entry points to one pass over the divergent large-q expansions of orders
+  0..m, with fixed-length or smallest-term truncation.  Order i is the
+  Boole-summation expansion with tail coefficients E_k(0) g_i(k) from
+  :mod:`altzeta.coefficients`, written through the lower orders times
+  powers of log q; all orders share one coefficient cache.
 * ``zeta_special_value`` / ``deriv1_at_neg_int`` / ``deriv2_at_neg_int``:
   closed forms and explicit expansions at z = -n.
 
@@ -31,11 +32,7 @@ import os
 from dataclasses import dataclass, replace
 from fractions import Fraction
 
-from .coefficients import (
-    CoefficientCache,
-    alternating_binomial_partial_sum,
-    neg_int_inner_layers_float,
-)
+from .coefficients import CoefficientCache, alternating_binomial_partial_sum
 from .errors import AccuracyError, CapacityError, DomainError
 from .euler import (
     K_MAX,
@@ -172,8 +169,12 @@ class EvalRequest:
     target_accuracy: float = 1e-12
 
     def __post_init__(self):
-        if not self.q > 0:
-            raise DomainError(f"q must be positive, got {self.q}")
+        if not cmath.isfinite(complex(self.z)):
+            raise DomainError(f"z must be finite, got {self.z}")
+        if not (self.q > 0 and math.isfinite(self.q)):
+            raise DomainError(f"q must be positive and finite, got {self.q}")
+        if not isinstance(self.m, int) or isinstance(self.m, bool):
+            raise DomainError(f"derivative order must be an int, got {self.m!r}")
         if self.m < 0:
             raise DomainError(f"derivative order must be non-negative, got {self.m}")
         if self.m > M_MAX:
@@ -252,6 +253,7 @@ def _tail_term_list(zc: complex, q: float, layer: int, cache: CoefficientCache, 
     if k_hi > K_MAX:
         raise CapacityError(f"tail index {k_hi} exceeds the exact table capacity {K_MAX}")
     qmz = _power(q, -zc)
+    cache.layer(layer, k_hi)  # grow the tables in one sweep
     out: list[complex] = []
     p = 2.0 / (q * q)  # k!/q^k, starting at k = 2
     for k in range(2, k_hi + 1):
@@ -372,91 +374,66 @@ def zeta_series(z, q: float, m: int = 0, tol: float = 1e-12) -> EvalResult:
 # Large-q expansions
 
 
-def zeta_asymptotic(z, q: float, policy: TruncationPolicy | None = None) -> EvalResult:
-    """Large-q expansion of zeta(z, q) with the requested truncation.
+def _expansion(zc: complex, q: float, m: int, policy: TruncationPolicy | None) -> list[EvalResult]:
+    """Large-q expansions of orders 0..m in one pass.
 
-    The expansion is q^(-z)/2 + z q^(-z-1)/4 minus the E_k(0)-weighted tail.
-    At z = -n the tail terminates at k = n and the value is exact up to
-    rounding, whatever the policy; otherwise the reported error estimate is
-    the first omitted term plus a rounding floor.
+    Order i is q^(-z)/2 (i = 0 only) + g_i(1) q^(-z-1)/4
+    - sum_{j=1}^{i} C(i, j) value_{i-j} log^j q minus the E_k(0)-weighted
+    tail on layer i; the g_i(1) head is the k = 1 tail term, nonzero only
+    for i <= 1.  At z = -n the order-0 tail terminates at k = n and is
+    exact up to rounding, whatever the policy.  Each estimate is the first
+    omitted term plus a rounding floor plus the lower-order estimates
+    carried through the binomial-log weights; terms_used is cumulative.
     """
-    _check_q(q)
     policy = policy or TruncationPolicy()
-    zc = complex(z)
-    qmz = _power(q, -zc)
-    heads = [0.5 * qmz, 0.25 * zc * qmz / q]
-    cache = CoefficientCache(zc)
-
     n = _as_nonpos_int(zc)
-    if n is not None:
-        if n > K_MAX:
-            raise CapacityError(f"terminating expansion needs n <= {K_MAX}, got n={n}")
-        terms = _tail_term_list(zc, q, 0, cache, n)
-        value, scale = _kahan(heads + terms)
-        floor = _float_floor(zc, q, scale + abs(value))
-        return EvalResult(value, floor, 2 + len(terms), METHOD_ASYMPTOTIC)
+    if n is not None and n > K_MAX:
+        raise CapacityError(f"terminating expansion needs n <= {K_MAX}, got n={n}")
+    qmz = _power(q, -zc)
+    log_q = math.log(q)
+    cache = CoefficientCache(zc)
+    cap = policy.scan_limit(q)
+    results: list[EvalResult] = []
+    for i in range(m + 1):
+        heads = [0.5 * qmz] if i == 0 else []
+        heads.append(0.25 * cache.layer(i, 1) * qmz / q)
+        heads += [-math.comb(i, j) * results[i - j].value * log_q**j for j in range(1, i + 1)]
+        if i == 0 and n is not None:
+            kept, omitted = _tail_term_list(zc, q, 0, cache, n), 0.0
+        else:
+            kept, omitted = _plan_tail(_tail_term_list(zc, q, i, cache, cap), policy)
+        value, scale = _kahan(heads + kept)
+        estimate = omitted + _float_floor(zc, q, scale + abs(value))
+        for j in range(1, i + 1):
+            estimate += math.comb(i, j) * abs(log_q) ** j * results[i - j].error_estimate
+        used = (results[-1].terms_used if results else 2) + len(kept)
+        results.append(EvalResult(value, estimate, used, METHOD_ASYMPTOTIC))
+    return results
 
-    terms = _tail_term_list(zc, q, 0, cache, policy.scan_limit(q))
-    kept, omitted = _plan_tail(terms, policy)
-    value, scale = _kahan(heads + kept)
-    estimate = omitted + _float_floor(zc, q, scale + abs(value))
-    return EvalResult(value, estimate, 2 + len(kept), METHOD_ASYMPTOTIC)
+
+def zeta_asymptotic(z, q: float, policy: TruncationPolicy | None = None) -> EvalResult:
+    """Large-q expansion of zeta(z, q): q^(-z)/2 + z q^(-z-1)/4 minus the
+    E_k(0)-weighted tail, truncated by ``policy`` (exact at z = -n)."""
+    _check_q(q)
+    return _expansion(complex(z), q, 0, policy)[0]
 
 
 def deriv1_asymptotic(z, q: float, policy: TruncationPolicy | None = None) -> EvalResult:
-    """Large-q expansion of the first z-derivative.
-
-    q^(-z-1)/4 - zeta(z, q) log q minus the tail weighted by the
-    derivative of the Pochhammer ratio; the zeta factor is evaluated with
-    the same policy and its estimate propagates through the log q term.
-    """
+    """Large-q expansion of the first z-derivative: q^(-z-1)/4
+    - zeta(z, q) log q minus the tail on the Pochhammer-derivative layer."""
     _check_q(q)
-    policy = policy or TruncationPolicy()
-    zc = complex(z)
-    base = zeta_asymptotic(zc, q, policy)
-    log_q = math.log(q)
-    heads = [0.25 * _power(q, -zc - 1), -base.value * log_q]
-    cache = CoefficientCache(zc)
-    terms = _tail_term_list(zc, q, 1, cache, policy.scan_limit(q))
-    kept, omitted = _plan_tail(terms, policy)
-    value, scale = _kahan(heads + kept)
-    estimate = omitted + abs(log_q) * base.error_estimate + _float_floor(zc, q, scale + abs(value))
-    return EvalResult(value, estimate, base.terms_used + len(kept), METHOD_ASYMPTOTIC)
+    return _expansion(complex(z), q, 1, policy)[1]
 
 
 def deriv_m_asymptotic(z, q: float, m: int, policy: TruncationPolicy | None = None) -> EvalResult:
-    """Order-m derivative (m >= 2) through the lower-order recurrence.
-
-    value_m = -sum_{j=1}^{m} C(m, j) value_{m-j} log^j q - tail_m, with all
-    lower orders evaluated under the same policy.  Error estimates propagate
-    linearly through the binomial-log weights.
-    """
+    """Order-m derivative (m >= 2): -sum_{j=1}^{m} C(m, j) value_{m-j}
+    log^j q minus the tail on layer m, all orders under the same policy."""
     _check_q(q)
     if m < 2:
         raise DomainError(f"this route needs m >= 2, got {m}")
     if m > M_MAX:
         raise CapacityError(f"derivative order {m} exceeds the supported maximum {M_MAX}")
-    policy = policy or TruncationPolicy()
-    zc = complex(z)
-    log_q = math.log(q)
-    results = [zeta_asymptotic(zc, q, policy), deriv1_asymptotic(zc, q, policy)]
-    cache = CoefficientCache(zc)
-    cap = policy.scan_limit(q)
-    for order in range(2, m + 1):
-        heads = [
-            -math.comb(order, j) * results[order - j].value * log_q**j
-            for j in range(1, order + 1)
-        ]
-        terms = _tail_term_list(zc, q, order, cache, cap)
-        kept, omitted = _plan_tail(terms, policy)
-        value, scale = _kahan(heads + kept)
-        estimate = omitted + _float_floor(zc, q, scale + abs(value))
-        for j in range(1, order + 1):
-            estimate += math.comb(order, j) * abs(log_q) ** j * results[order - j].error_estimate
-        results.append(
-            EvalResult(value, estimate, results[-1].terms_used + len(kept), METHOD_ASYMPTOTIC)
-        )
-    return results[m]
+    return _expansion(complex(z), q, m, policy)[m]
 
 
 # ---------------------------------------------------------------------------
@@ -590,22 +567,12 @@ def deriv2_at_neg_int(
         -2.0 * d1.value * log_q,
         complex(-0.5 * euler_polynomial(n, q) * log_q * log_q),
     ]
-    inner, inner_scale = neg_int_inner_layers_float(n, 2, cap)
-    qn = q**n
-    finite: list[complex] = []
-    tail = []
-    p = 2.0 / (q * q)
-    for k in range(2, cap + 1):
-        f = euler_number_over_factorial(k)
-        coeff = inner[k]
-        if abs(coeff) <= 64.0 * 2.2e-16 * inner_scale[k]:
-            coeff = 0.0  # exact zero of the coefficient family, seen through noise
-        term = 0j if f == 0.0 else complex(-0.5 * (f * p) * coeff * qn)
-        (finite if k <= n else tail).append(term)
-        p *= (k + 1) / q
+    zc = complex(-n)
+    terms = _tail_term_list(zc, q, 2, CoefficientCache(zc), cap)
+    finite, tail = terms[: n - 1], terms[n - 1 :]  # k <= n, then k > n
     kept, omitted = _plan_tail(tail, policy, k_start=max(2, n + 1))
     value, scale = _kahan(heads + finite + kept)
-    estimate = omitted + 2.0 * abs(log_q) * d1.error_estimate + _float_floor(complex(-n), q, scale + abs(value))
+    estimate = omitted + 2.0 * abs(log_q) * d1.error_estimate + _float_floor(zc, q, scale + abs(value))
     return EvalResult(value, estimate, d1.terms_used + len(finite) + len(kept), METHOD_NEG_INT)
 
 
@@ -645,14 +612,6 @@ def shift_reduce(z, q: float, m: int = 0, q_threshold: float = 10.0):
     return value, q + float(steps), (-1 if steps % 2 else 1)
 
 
-def _asymptotic_family(zc: complex, q: float, m: int, policy: TruncationPolicy | None) -> EvalResult:
-    if m == 0:
-        return zeta_asymptotic(zc, q, policy)
-    if m == 1:
-        return deriv1_asymptotic(zc, q, policy)
-    return deriv_m_asymptotic(zc, q, m, policy)
-
-
 def evaluate(request: EvalRequest, policy: TruncationPolicy | None = None) -> EvalResult:
     """Strategy dispatcher.
 
@@ -665,40 +624,45 @@ def evaluate(request: EvalRequest, policy: TruncationPolicy | None = None) -> Ev
     """
     policy = policy or TruncationPolicy()
     zc = complex(request.z)
-    q = request.q
-    m = request.m
+    tol = request.target_accuracy
+    try:
+        result = _dispatch(zc, request.q, request.m, tol, policy)
+    except OverflowError:
+        raise CapacityError(
+            f"arithmetic overflow at z={zc}, q={request.q}, m={request.m}"
+        ) from None
 
-    n = _as_nonpos_int(zc)
-    if n is not None and m == 0 and n <= K_MAX:
-        result = zeta_special_value(n, q)
-    else:
-        threshold = regime_threshold(zc)
-        if q >= threshold:
-            result = _asymptotic_family(zc, q, m, policy)
-        else:
-            partial, partial_scale, steps = _shift_terms(zc, q, m, threshold)
-            shifted_q = q + float(steps)
-            sign = -1.0 if steps % 2 else 1.0
-            base = _asymptotic_family(zc, shifted_q, m, policy)
-            value = partial + sign * base.value
-            estimate = base.error_estimate + _float_floor(
-                zc, shifted_q, partial_scale + abs(value)
-            )
-            result = EvalResult(value, estimate, base.terms_used + steps, METHOD_SHIFTED)
-        if result.error_estimate > request.target_accuracy and zc.real > 0:
-            try:
-                alt = zeta_series(zc, q, m, request.target_accuracy)
-            except AccuracyError as err:
-                alt = err.best
-            if alt is not None and alt.error_estimate < result.error_estimate:
-                result = alt
-
-    if result.error_estimate > request.target_accuracy:
+    # The error of a non-finite value is unbounded, and NaN passes no test.
+    estimate = result.error_estimate if cmath.isfinite(result.value) else math.inf
+    if not estimate <= tol:
         result = replace(
             result,
-            note=(
-                f"accuracy warning: target {request.target_accuracy:g} not met; "
-                f"estimate {result.error_estimate:.3e}"
-            ),
+            error_estimate=estimate,
+            note=f"accuracy warning: target {tol:g} not met; estimate {estimate:.3e}",
         )
+    return result
+
+
+def _dispatch(zc: complex, q: float, m: int, tol: float, policy: TruncationPolicy) -> EvalResult:
+    n = _as_nonpos_int(zc)
+    if n is not None and m == 0 and n <= K_MAX:
+        return zeta_special_value(n, q)
+    threshold = regime_threshold(zc)
+    if q >= threshold:
+        result = _expansion(zc, q, m, policy)[m]
+    else:
+        partial, partial_scale, steps = _shift_terms(zc, q, m, threshold)
+        shifted_q = q + float(steps)
+        sign = -1.0 if steps % 2 else 1.0
+        base = _expansion(zc, shifted_q, m, policy)[m]
+        value = partial + sign * base.value
+        estimate = base.error_estimate + _float_floor(zc, shifted_q, partial_scale + abs(value))
+        result = EvalResult(value, estimate, base.terms_used + steps, METHOD_SHIFTED)
+    if result.error_estimate > tol and zc.real > 0:
+        try:
+            alt = zeta_series(zc, q, m, tol)
+        except AccuracyError as err:
+            alt = err.best
+        if alt is not None and alt.error_estimate < result.error_estimate:
+            result = alt
     return result

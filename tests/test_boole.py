@@ -1,7 +1,12 @@
 """Tests for the Boole-summation engine."""
 
+import os
+import subprocess
+import sys
+
 import pytest
 
+import altzeta
 from altzeta import (
     CapacityError,
     DomainError,
@@ -13,6 +18,7 @@ from altzeta import (
     polynomial_function,
     power_function,
 )
+from altzeta.boole import _gauss_rule
 
 
 class TestSmoothFunction:
@@ -153,3 +159,23 @@ class TestDeltaExpansion:
         result = delta_expansion_value(f, 6)
         expected = evaluate(EvalRequest(z, q, 0)).value
         assert abs(result.value - expected) <= 1e-10
+
+
+class TestGaussRule:
+    @pytest.mark.parametrize("order", [24, 32])
+    def test_matches_numpy_leggauss(self, order):
+        np = pytest.importorskip("numpy")
+        x, w = np.polynomial.legendre.leggauss(order)
+        nodes, weights = _gauss_rule(order)
+        assert len(nodes) == len(weights) == order
+        for got, want in zip(nodes, x):
+            assert abs(got - 0.5 * (want + 1.0)) <= 1e-15
+        for got, want in zip(weights, w):
+            assert abs(got - 0.5 * want) <= 1e-15
+
+    def test_import_does_not_load_numpy(self):
+        src = os.path.dirname(os.path.dirname(altzeta.__file__))
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+        code = "import sys, altzeta.cli; raise SystemExit('numpy' in sys.modules)"
+        assert subprocess.run([sys.executable, "-c", code], env=env).returncode == 0

@@ -6,7 +6,7 @@ import math
 
 import pytest
 
-from altzeta import deriv1_at_neg_int
+from altzeta import CapacityError, DomainError, EvalRequest, deriv1_at_neg_int, evaluate
 from altzeta.cli import (
     CSV_HEADER,
     EXIT_ACCURACY,
@@ -222,3 +222,31 @@ class TestVerify:
         assert code == EXIT_OK
         assert "[FINDING]" in out
         assert "the oracle supports the standard form" in out
+
+
+@pytest.mark.parametrize(
+    "z,q,m,error,exit_code",
+    [
+        ("nan", 2.0, 0, DomainError, EXIT_USAGE),
+        ("2+infi", 2.0, 0, DomainError, EXIT_USAGE),
+        ("2.5", math.inf, 0, DomainError, EXIT_USAGE),
+        ("2.5", 2.0, True, DomainError, EXIT_USAGE),
+        ("2.5", 2.0, 2.0, DomainError, EXIT_USAGE),
+        ("2.5", 1e-300, 0, CapacityError, EXIT_USAGE),
+        ("-300+0.5i", 2.0, 0, CapacityError, EXIT_USAGE),
+        ("1e4", 30.0, 0, None, EXIT_ACCURACY),  # the value comes out NaN
+    ],
+)
+def test_bad_inputs_fail_typed_or_flagged(z, q, m, error, exit_code):
+    def request():
+        return evaluate(EvalRequest(parse_complex(z), q, m))
+
+    if error is None:
+        result = request()
+        assert result.note is not None
+        assert not result.error_estimate <= 1e-12
+    else:
+        with pytest.raises(error):
+            request()
+    code, _ = run_cli("eval", f"--z={z}", "--q", repr(q), "--m", str(m))
+    assert code == exit_code

@@ -41,6 +41,19 @@ def nested_sum_reference(z, k, m):
     return float(euler_number_at_zero(k)) * chain(k, m)
 
 
+def exact_nested_layers(z, depth, k_max):
+    """Layers 0..depth at j = 0..k_max from their nested-sum definition in
+    exact rational arithmetic: g_0(j) = (z)_j / j!, and
+    g_i(j) = sum_{l<j} g_{i-1}(l) / (j - l)."""
+    rows = [[pochhammer(z, j) / math.factorial(j) for j in range(k_max + 1)]]
+    for _ in range(depth):
+        prev = rows[-1]
+        rows.append(
+            [sum((prev[l] / (j - l) for l in range(j)), Fraction(0)) for j in range(k_max + 1)]
+        )
+    return rows
+
+
 class TestPochhammer:
     def test_empty_product(self):
         for z in (0.0, 3.7, complex(1, -2)):
@@ -82,6 +95,9 @@ class TestPochhammerDerivative:
         with pytest.raises(DomainError):
             pochhammer_derivative(1.0, 0)
 
+    def test_floating_point_gives_complex(self):
+        assert isinstance(pochhammer_derivative(2.5, 3), complex)
+
     @pytest.mark.parametrize("z", LADDER_Z)
     def test_finite_difference(self, z):
         h = 1e-6
@@ -114,6 +130,17 @@ class TestExpansionCoefficient:
                     got = expansion_coefficient(cache, k, m)
                     want = nested_sum_reference(z, k, m)
                     assert got == pytest.approx(want, rel=1e-12, abs=1e-13)
+        # far out on the negative axis the nested sums cancel heavily in
+        # floats, so the reference there is the nest in exact arithmetic
+        for z in (Fraction(-29, 4), Fraction(-25, 2)):
+            cache = CoefficientCache(complex(z))
+            for i, row in enumerate(exact_nested_layers(z, 4, 120)):
+                for j, want in enumerate(row):
+                    got = cache.layer(i, j)
+                    if want:
+                        assert abs(got - float(want)) <= 1e-9 * abs(float(want))
+                    else:  # exact zero (e.g. g_1(26) at -25/2): noise below the snap level
+                        assert abs(got) <= 64 * 2.2e-16 * cache.layer_noise_scale(i, j)
 
     def test_tail_index_starts_at_two(self):
         with pytest.raises(DomainError):
