@@ -23,7 +23,7 @@ from typing import Callable
 
 from .errors import AccuracyError, CapacityError, DomainError
 from .euler import euler_number_at_zero, quasi_periodic_euler
-from .summation import ComplexCompensatedSum
+from .summation import complex_fsum
 
 _GAUSS_ORDER = 32
 _CHECK_ORDER = 24
@@ -132,12 +132,11 @@ def _kernel_integral(f: SmoothFunction, n_terms: int, alpha: int, beta: int, ord
     high-order rule is near-exact there.
     """
     nodes, weights = _gauss_rule(order)
-    acc = ComplexCompensatedSum()
-    for j in range(alpha, beta):
-        for x, w in zip(nodes, weights):
-            t = j + x
-            acc.add(w * quasi_periodic_euler(n_terms, -t) * f.deriv(n_terms + 1, t))
-    return acc.value
+    return complex_fsum(
+        w * quasi_periodic_euler(n_terms, -(j + x)) * f.deriv(n_terms + 1, j + x)
+        for j in range(alpha, beta)
+        for x, w in zip(nodes, weights)
+    )
 
 
 def boole_remainder(f: SmoothFunction, n_terms: int, alpha: int, beta: int) -> complex:
@@ -191,22 +190,18 @@ def boole_sum(f: SmoothFunction, alpha: int, beta: int, n_terms: int) -> BooleRe
     if alpha >= beta:
         raise DomainError(f"need alpha < beta, got [{alpha}, {beta}]")
 
-    lhs_acc = ComplexCompensatedSum()
-    for n in range(alpha, beta):
-        sign = -1.0 if n % 2 else 1.0
-        lhs_acc.add(2.0 * sign * f(n))
-    lhs = lhs_acc.value
+    lhs = complex_fsum((-2.0 if n % 2 else 2.0) * f(n) for n in range(alpha, beta))
 
     sign_beta = -1.0 if (beta - 1) % 2 else 1.0
     sign_alpha = -1.0 if alpha % 2 else 1.0
-    rhs_acc = ComplexCompensatedSum()
+    parts = []
     for k in range(n_terms + 1):
         ek = euler_number_at_zero(k)
         if ek == 0:
             continue
         weight = float(ek) / math.factorial(k)
-        rhs_acc.add(weight * (sign_beta * f.deriv(k, beta) + sign_alpha * f.deriv(k, alpha)))
-    rhs_main = rhs_acc.value
+        parts.append(weight * (sign_beta * f.deriv(k, beta) + sign_alpha * f.deriv(k, alpha)))
+    rhs_main = complex_fsum(parts)
 
     remainder = boole_remainder(f, n_terms, alpha, beta)
     return BooleReport(lhs=lhs, rhs_main=rhs_main, remainder=remainder)
@@ -230,25 +225,23 @@ def delta_expansion_value(f: SmoothFunction, n_terms: int):
         raise DomainError(f"N must be a positive integer, got {n_terms}")
 
     deltas = [f.deriv(k, 1.0) + f.deriv(k, 0.0) for k in range(n_terms + 1)]
-    acc = ComplexCompensatedSum()
-    acc.add(0.5 * deltas[0])
-    acc.add(-0.25 * deltas[1])
+    parts = [0.5 * deltas[0], -0.25 * deltas[1]]
     for k in range(2, n_terms + 1):
         ek = euler_number_at_zero(k)
         if ek == 0:
             continue
         sign = 1.0 if k % 2 == 0 else -1.0
-        acc.add(-0.5 * sign * float(ek) / math.factorial(k) * deltas[k])
+        parts.append(-0.5 * sign * float(ek) / math.factorial(k) * deltas[k])
 
     scale = 0.5 / math.factorial(n_terms)
     fine = scale * _kernel_integral(f, n_terms, 0, 1, _GAUSS_ORDER)
     coarse = scale * _kernel_integral(f, n_terms, 0, 1, _CHECK_ORDER)
-    acc.add(fine)
+    parts.append(fine)
 
     magnitude = sum(abs(d) for d in deltas) + abs(fine)
     estimate = abs(fine - coarse) + 8e-16 * magnitude
     return EvalResult(
-        value=acc.value,
+        value=complex_fsum(parts),
         error_estimate=estimate,
         terms_used=n_terms,
         method=METHOD_ORACLE,

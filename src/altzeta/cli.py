@@ -13,6 +13,7 @@ import argparse
 import csv
 import io
 import json
+import math
 import sys
 import time
 from dataclasses import dataclass
@@ -93,14 +94,20 @@ def format_complex(value: complex) -> str:
 
 
 def parse_range(text: str) -> list[float]:
-    """Parse 'start:stop:step' (inclusive grid) or a single number."""
+    """Parse 'start:stop:step' (inclusive grid, finite bounds) or a single number."""
     text = text.strip()
-    if ":" not in text:
-        return [float(text)]
     parts = text.split(":")
-    if len(parts) != 3:
+    try:
+        numbers = [float(p) for p in parts]
+    except ValueError:
+        raise DomainError(f"cannot parse range {text!r}") from None
+    if len(numbers) == 1:
+        return numbers
+    if len(numbers) != 3:
         raise DomainError(f"range must be start:stop:step, got {text!r}")
-    start, stop, step = (float(p) for p in parts)
+    start, stop, step = numbers
+    if not all(math.isfinite(v) for v in numbers):
+        raise DomainError(f"range bounds and step must be finite, got {text!r}")
     if step <= 0:
         raise DomainError(f"range step must be positive, got {step}")
     values = []
@@ -264,6 +271,8 @@ def cmd_coeffs(args, stdout) -> int:
             rows.append(
                 {"k": k, "m": args.m, "value_re": repr(value.real), "value_im": repr(value.imag)}
             )
+    if not rows:
+        raise DomainError(f"--k-max {args.k_max} leaves the {args.table} table empty")
     if args.format == "csv":
         buffer = io.StringIO()
         writer = csv.DictWriter(buffer, fieldnames=list(rows[0].keys()), lineterminator="\n")

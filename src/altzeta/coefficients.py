@@ -206,38 +206,3 @@ def alternating_binomial_partial_sum(n: int, k: int) -> Fraction:
         total += Fraction(math.comb(n, j) * (-1) ** j, k - j)
     return total
 
-
-def truncated_double_sum(a, b, n: int, k_max: int):
-    """sum_{k=2}^{k_max} a(k) * sum_{j=0}^{min(n, k-1)} b(k, j)."""
-    if n < 0:
-        raise DomainError(f"n must be non-negative, got {n}")
-    total = 0
-    for k in range(2, k_max + 1):
-        inner = 0
-        for j in range(min(n, k - 1) + 1):
-            inner = inner + b(k, j)
-        total = total + a(k) * inner
-    return total
-
-
-def split_double_sum(a, b, n: int, k_max: int):
-    """The same double sum with the k <= n block separated from the rest.
-
-    Over k <= n the inner sum runs to k-1; over k > n it runs to n.  The
-    split is what turns the truncated expansion into a finite polynomial
-    block plus an asymptotic tail.
-    """
-    if n < 0:
-        raise DomainError(f"n must be non-negative, got {n}")
-    total = 0
-    for k in range(2, min(n, k_max) + 1):
-        inner = 0
-        for j in range(k):
-            inner = inner + b(k, j)
-        total = total + a(k) * inner
-    for k in range(max(2, n + 1), k_max + 1):
-        inner = 0
-        for j in range(n + 1):
-            inner = inner + b(k, j)
-        total = total + a(k) * inner
-    return total

@@ -18,7 +18,6 @@ from fractions import Fraction
 from functools import lru_cache
 
 from .errors import CapacityError, DomainError
-from .summation import CompensatedSum
 
 #: Largest index held by the exact table.  Smallest-term truncation of the
 #: large-q expansions never reaches beyond this at double precision.
@@ -123,8 +122,8 @@ def fourier_partial_sum(n: int, x: float, k_max: int) -> float:
     else:
         prefactor = 4.0 * math.exp(math.lgamma(n + 1) - (n + 1) * math.log(math.pi))
     phase = 0.5 * math.pi * n
-    acc = CompensatedSum()
-    for k in range(k_max + 1):
-        odd = 2 * k + 1
-        acc.add(math.sin(odd * math.pi * x - phase) / float(odd) ** (n + 1))
-    return prefactor * acc.value
+    terms = [
+        math.sin(odd * math.pi * x - phase) / float(odd) ** (n + 1)
+        for odd in range(1, 2 * k_max + 2, 2)
+    ]
+    return prefactor * math.fsum(terms)

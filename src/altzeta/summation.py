@@ -1,48 +1,17 @@
-"""Compensated floating-point accumulation.
+"""Exactly rounded floating-point summation.
 
-All series in this package are summed in a fixed (ascending) order with
-Kahan-Neumaier compensation, so repeated runs produce bit-identical results.
+Every series in this package is summed by one call to :func:`math.fsum`
+(Shewchuk's adaptive-precision algorithm), which returns the correctly
+rounded sum of its inputs whatever their order.  The result is
+deterministic, so repeated runs produce bit-identical values.
 """
 
 from __future__ import annotations
 
-
-class CompensatedSum:
-    """Neumaier variant of Kahan summation for real values."""
-
-    __slots__ = ("_sum", "_comp")
-
-    def __init__(self) -> None:
-        self._sum = 0.0
-        self._comp = 0.0
-
-    def add(self, value: float) -> None:
-        t = self._sum + value
-        if abs(self._sum) >= abs(value):
-            self._comp += (self._sum - t) + value
-        else:
-            self._comp += (value - t) + self._sum
-        self._sum = t
-
-    @property
-    def value(self) -> float:
-        return self._sum + self._comp
+import math
 
 
-class ComplexCompensatedSum:
-    """Compensated accumulation of complex values, component-wise."""
-
-    __slots__ = ("_re", "_im")
-
-    def __init__(self) -> None:
-        self._re = CompensatedSum()
-        self._im = CompensatedSum()
-
-    def add(self, value: complex) -> None:
-        value = complex(value)
-        self._re.add(value.real)
-        self._im.add(value.imag)
-
-    @property
-    def value(self) -> complex:
-        return complex(self._re.value, self._im.value)
+def complex_fsum(parts) -> complex:
+    """Correctly rounded sum of complex values, component by component."""
+    parts = list(parts)  # read twice, so a generator must be materialised
+    return complex(math.fsum([p.real for p in parts]), math.fsum([p.imag for p in parts]))

@@ -337,7 +337,9 @@ def adjudicate_n0_variants(q: float = 30.0) -> CheckResult:
     recurrence to guard the verdict).  Reported as a finding.
     """
     standard = zeta.deriv2_at_neg_int(0, q).value
-    doubled = zeta.deriv2_at_neg_int(0, q, n0_tail_doubled=True).value
+    log_q = math.log(q)
+    # The variant doubles the series after the heads log^2(q)/2 - log(q)/(2q).
+    doubled = 2.0 * standard - (0.5 * log_q * log_q - 0.5 * log_q / q)
     oracle = zeta.zeta_series(0.0, q, 2, 1e-15).value
     generic = zeta.deriv_m_asymptotic(0.0, q, 2).value
 

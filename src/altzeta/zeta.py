@@ -15,13 +15,16 @@ against each other:
   :mod:`altzeta.coefficients`, written through the lower orders times
   powers of log q; all orders share one coefficient cache.
 * ``zeta_special_value`` / ``deriv1_at_neg_int`` / ``deriv2_at_neg_int``:
-  closed forms and explicit expansions at z = -n.
+  the closed form at z = -n, and the explicit first- and second-derivative
+  expansions there, which are the layer-1 and layer-2 tails of the same
+  expansion split into a finite block k <= n and an asymptotic tail.
 
 ``evaluate`` dispatches between the routes, shifting q upward through the
 reflection identity zeta(z, q+1) + zeta(z, q) = q^(-z) when q is below the
 asymptotic regime, and always reports an error estimate next to the value.
-Series are summed ascending with compensated accumulation, so results are
-reproducible bit for bit.
+Every series is built as a list of terms and summed by one exactly rounded
+call (:func:`altzeta.summation.complex_fsum`), so results are reproducible
+bit for bit.
 """
 
 from __future__ import annotations
@@ -41,7 +44,7 @@ from .euler import (
     euler_polynomial,
     _euler_polynomial_float_coefficients,
 )
-from .summation import ComplexCompensatedSum
+from .summation import complex_fsum
 
 METHOD_ORACLE = "oracle"
 METHOD_ASYMPTOTIC = "asymptotic"
@@ -97,14 +100,12 @@ class TruncationPolicy:
 
     ``optimal`` scans ascending term magnitudes and stops just before the
     smallest nonzero term; ``fixed`` sums exactly ``fixed_n`` tail indices.
-    ``n_cap`` bounds the scan; by default it is 2*ceil(pi*q) + 10 at
-    evaluation time (clamped to the exact-table capacity), which always
-    covers the smallest-term index at double precision.
+    The optimal scan stops at 2*ceil(pi*q) + 10, which always covers the
+    smallest-term index at double precision.
     """
 
     mode: str = "optimal"
     fixed_n: int | None = None
-    n_cap: int | None = None
 
     def __post_init__(self):
         if self.mode not in ("optimal", "fixed"):
@@ -112,8 +113,6 @@ class TruncationPolicy:
         if self.mode == "fixed":
             if self.fixed_n is None or self.fixed_n < 0:
                 raise DomainError("fixed truncation needs fixed_n >= 0")
-        if self.n_cap is not None and self.n_cap < 2:
-            raise DomainError("n_cap must be at least 2")
 
     @classmethod
     def optimal(cls) -> "TruncationPolicy":
@@ -139,24 +138,18 @@ class TruncationPolicy:
     def describe(self) -> str:
         return "optimal" if self.mode == "optimal" else f"fixed:{self.fixed_n}"
 
-    def resolve_cap(self, q: float) -> int:
-        cap = self.n_cap if self.n_cap is not None else 2 * math.ceil(math.pi * q) + 10
-        cap = min(cap, K_MAX)
-        limit = _env_max_terms()
-        if limit is not None:
-            cap = min(cap, 1 + limit)
-        return max(cap, 2)
-
     def scan_limit(self, q: float) -> int:
-        """Highest tail index that must be materialised for this policy."""
+        """Highest tail index that must be materialised for this policy,
+        clamped to the exact-table capacity and to ZETAE_MAX_TERMS."""
         if self.mode == "fixed":
             hi = self.fixed_n + 2  # reach past N so the first omitted term is seen
-            hi = min(hi, K_MAX)
-            limit = _env_max_terms()
-            if limit is not None:
-                hi = min(hi, 1 + limit)
-            return max(hi, 2)
-        return self.resolve_cap(q)
+        else:
+            hi = 2 * math.ceil(math.pi * q) + 10
+        hi = min(hi, K_MAX)
+        limit = _env_max_terms()
+        if limit is not None:
+            hi = min(hi, 1 + limit)
+        return max(hi, 2)
 
 
 @dataclass(frozen=True)
@@ -171,8 +164,7 @@ class EvalRequest:
     def __post_init__(self):
         if not cmath.isfinite(complex(self.z)):
             raise DomainError(f"z must be finite, got {self.z}")
-        if not (self.q > 0 and math.isfinite(self.q)):
-            raise DomainError(f"q must be positive and finite, got {self.q}")
+        _check_q(self.q)
         if not isinstance(self.m, int) or isinstance(self.m, bool):
             raise DomainError(f"derivative order must be an int, got {self.m!r}")
         if self.m < 0:
@@ -199,8 +191,8 @@ def _env_max_terms() -> int | None:
 
 
 def _check_q(q: float) -> None:
-    if not q > 0:
-        raise DomainError(f"q must be positive, got {q}")
+    if not (q > 0 and math.isfinite(q)):
+        raise DomainError(f"q must be positive and finite, got {q}")
 
 
 def _power(base: float, exponent: complex) -> complex:
@@ -300,13 +292,9 @@ def _float_floor(zc: complex, q: float, scale: float) -> float:
     return _EPS * (1.0 + abs(zc) * abs(math.log(q))) * scale
 
 
-def _kahan(parts) -> tuple[complex, float]:
-    acc = ComplexCompensatedSum()
-    scale = 0.0
-    for part in parts:
-        acc.add(part)
-        scale += abs(part)
-    return acc.value, scale
+def _sum_with_scale(parts: list[complex]) -> tuple[complex, float]:
+    """Exactly rounded sum of the parts and the sum of their magnitudes."""
+    return complex_fsum(parts), math.fsum(map(abs, parts))
 
 
 # ---------------------------------------------------------------------------
@@ -343,17 +331,17 @@ def zeta_series(z, q: float, m: int = 0, tol: float = 1e-12) -> EvalResult:
     d = 0.5 * (d + 1.0 / d)
     b = -1.0
     c = -d
-    acc = ComplexCompensatedSum()
+    terms: list[complex] = []
     a_max = 0.0
     for k in range(t_used):
         c = b - c
         base = k + q
         weight = (-math.log(base)) ** m if m else 1.0
         a_k = weight * _power(base, -zc)
-        acc.add(c * a_k)
+        terms.append(c * a_k)
         a_max = max(a_max, abs(a_k))
         b *= (k + t_used) * (k - t_used) / ((k + 0.5) * (k + 1.0))
-    value = acc.value / d
+    value = complex_fsum(terms) / d
 
     scale = max(a_max, abs(value))
     estimate = 3.0 * scale * _CVZ_RATE ** (-t_used) + 4e-16 * scale
@@ -402,7 +390,7 @@ def _expansion(zc: complex, q: float, m: int, policy: TruncationPolicy | None) -
             kept, omitted = _tail_term_list(zc, q, 0, cache, n), 0.0
         else:
             kept, omitted = _plan_tail(_tail_term_list(zc, q, i, cache, cap), policy)
-        value, scale = _kahan(heads + kept)
+        value, scale = _sum_with_scale(heads + kept)
         estimate = omitted + _float_floor(zc, q, scale + abs(value))
         for j in range(1, i + 1):
             estimate += math.comb(i, j) * abs(log_q) ** j * results[i - j].error_estimate
@@ -464,116 +452,70 @@ def deriv1_neg_int_constant_term(n: int) -> Fraction:
     return Fraction(-1, 2) * euler_number_at_zero(n) * alternating_binomial_partial_sum(n, n)
 
 
+def _neg_int_series(
+    n: int, q: float, layer: int, heads: list[complex], policy: TruncationPolicy
+) -> tuple[complex, float, int]:
+    """Heads minus the layer tail at z = -n, with the tail split at k = n.
+
+    At z = -n the rising factorials (z)_j vanish for j > n, so the inner
+    sums of g_layer(k) stop at n: the block k <= n is a polynomial in q,
+    summed in full, and only the tail k > n follows the policy.  Returns
+    the value, its estimate (first omitted term plus the rounding floor)
+    and the number of tail terms summed.
+    """
+    zc = complex(-n)
+    cap = max(policy.scan_limit(q), n + 2)
+    terms = _tail_term_list(zc, q, layer, CoefficientCache(zc), cap)
+    finite, tail = terms[: max(0, n - 1)], terms[max(0, n - 1) :]  # k <= n, then k > n
+    kept, omitted = _plan_tail(tail, policy, k_start=max(2, n + 1))
+    value, scale = _sum_with_scale(heads + finite + kept)
+    estimate = omitted + _float_floor(zc, q, scale + abs(value))
+    return value, estimate, len(finite) + len(kept)
+
+
+def _check_neg_int(n: int, q: float) -> None:
+    _check_q(q)
+    if n < 0:
+        raise DomainError(f"n must be non-negative, got {n}")
+    if n > K_MAX:
+        raise CapacityError(f"n={n} exceeds the exact table capacity {K_MAX}")
+
+
 def deriv1_at_neg_int(n: int, q: float, policy: TruncationPolicy | None = None) -> EvalResult:
     """Explicit first-derivative expansion at z = -n.
 
-    q^(n-1)/4 - E_n(q) log(q)/2 minus a series whose inner binomial sum
-    truncates at n.  For n >= 2 the series splits into an exact polynomial
-    block (k <= n) and an asymptotic tail with collapsed inner sums
-    (-1)^(n+1) n!/2 * E_k(0) / (k (k-1) ... (k-n)); only the tail is subject
-    to the truncation policy.
+    q^(n-1)/4 - E_n(q) log(q)/2 minus the layer-1 tail at z = -n, whose
+    coefficient g_1(k) is the binomial sum sum_{j<=min(n, k-1)} C(n, j)
+    (-1)^j / (k-j): a partial sum for k <= n (the exact polynomial block)
+    and (-1)^n n! / (k (k-1) ... (k-n)) for k > n (the asymptotic tail, the
+    only part subject to the truncation policy).
     """
-    _check_q(q)
-    if n < 0:
-        raise DomainError(f"n must be non-negative, got {n}")
-    if n > K_MAX:
-        raise CapacityError(f"n={n} exceeds the exact table capacity {K_MAX}")
+    _check_neg_int(n, q)
     policy = policy or TruncationPolicy()
-    log_q = math.log(q)
-    qn = q**n
-    heads = [complex(0.25 * q ** (n - 1)), complex(-0.5 * euler_polynomial(n, q) * log_q)]
-
-    cap = max(policy.scan_limit(q), n + 2)
-    finite: list[complex] = []
-    tail: list[complex] = []
-    p = 2.0 / (q * q)  # k!/q^k from k = 2
-    sign_tail = 1.0 if n % 2 else -1.0  # (-1)^(n+1)
-    n_fact = float(math.factorial(n))
-    for k in range(2, cap + 1):
-        f = euler_number_over_factorial(k)
-        if f == 0.0:
-            if k <= n:
-                finite.append(0j)
-            else:
-                tail.append(0j)
-        elif k <= n:
-            weight = float(alternating_binomial_partial_sum(n, k))
-            finite.append(complex(-0.5 * (f * p) * weight * qn))
-        else:
-            term = sign_tail * 0.5 * n_fact * (f * p) * qn
-            for i in range(k - n, k + 1):
-                term /= i
-            tail.append(complex(term))
-        p *= (k + 1) / q
-
-    kept, omitted = _plan_tail(tail, policy, k_start=max(2, n + 1))
-    value, scale = _kahan(heads + finite + kept)
-    estimate = omitted + _float_floor(complex(-n), q, scale + abs(value))
-    return EvalResult(value, estimate, 2 + len(finite) + len(kept), METHOD_NEG_INT)
+    heads = [complex(0.25 * q ** (n - 1)), complex(-0.5 * euler_polynomial(n, q) * math.log(q))]
+    value, estimate, used = _neg_int_series(n, q, 1, heads, policy)
+    return EvalResult(value, estimate, 2 + used, METHOD_NEG_INT)
 
 
-def deriv2_at_neg_int(
-    n: int,
-    q: float,
-    policy: TruncationPolicy | None = None,
-    *,
-    n0_tail_doubled: bool = False,
-) -> EvalResult:
+def deriv2_at_neg_int(n: int, q: float, policy: TruncationPolicy | None = None) -> EvalResult:
     """Explicit second-derivative expansion at z = -n.
 
-    For n >= 1 this assembles -2 * deriv1 * log q - E_n(q) log^2(q) / 2
-    minus the doubly nested tail with inner sums truncated at n; the
-    k <= n block is summed exactly and the rest follows the policy.
-
-    For n = 0 the closed form log^2(q)/2 - log(q)/(2q) plus an E_k(0)
-    series is used.  ``n0_tail_doubled`` scales that series by 2, a variant
-    form retained only so the verification suite can adjudicate it against
-    the series oracle; the standard form is the one consistent with the
-    derivative recurrence.
+    -2 * deriv1 * log q - E_n(q) log^2(q) / 2 minus the layer-2 tail with
+    inner sums truncated at n; the k <= n block is summed exactly and the
+    rest follows the policy.  At n = 0 this is log^2(q)/2 - log(q)/(2q)
+    plus the series sum_k E_k(0) [log(q)/k - H_(k-1)/k] q^(-k).
     """
-    _check_q(q)
-    if n < 0:
-        raise DomainError(f"n must be non-negative, got {n}")
-    if n > K_MAX:
-        raise CapacityError(f"n={n} exceeds the exact table capacity {K_MAX}")
-    if n0_tail_doubled and n != 0:
-        raise DomainError("the doubled-tail variant is defined only for n = 0")
+    _check_neg_int(n, q)
     policy = policy or TruncationPolicy()
     log_q = math.log(q)
-    cap = max(policy.scan_limit(q), n + 2)
-
-    if n == 0:
-        prefactor = 2.0 if n0_tail_doubled else 1.0
-        heads = [complex(0.5 * log_q * log_q), complex(-0.5 * log_q / q)]
-        # Series sum_k E_k(0) [log(q)/k - harmonic_pair(k)/2] q^(-k) where
-        # harmonic_pair(k) = sum_{j=1}^{k-1} 1/(j (k-j)).
-        tail: list[complex] = []
-        p = 2.0 / (q * q)
-        for k in range(2, cap + 1):
-            f = euler_number_over_factorial(k)
-            if f == 0.0:
-                tail.append(0j)
-            else:
-                pair = math.fsum(1.0 / (j * (k - j)) for j in range(1, k))
-                tail.append(complex(prefactor * (f * p) * (log_q / k - 0.5 * pair)))
-            p *= (k + 1) / q
-        kept, omitted = _plan_tail(tail, policy)
-        value, scale = _kahan(heads + kept)
-        estimate = omitted + _float_floor(0j, q, scale + abs(value))
-        return EvalResult(value, estimate, 2 + len(kept), METHOD_NEG_INT)
-
     d1 = deriv1_at_neg_int(n, q, policy)
     heads = [
         -2.0 * d1.value * log_q,
         complex(-0.5 * euler_polynomial(n, q) * log_q * log_q),
     ]
-    zc = complex(-n)
-    terms = _tail_term_list(zc, q, 2, CoefficientCache(zc), cap)
-    finite, tail = terms[: n - 1], terms[n - 1 :]  # k <= n, then k > n
-    kept, omitted = _plan_tail(tail, policy, k_start=max(2, n + 1))
-    value, scale = _kahan(heads + finite + kept)
-    estimate = omitted + 2.0 * abs(log_q) * d1.error_estimate + _float_floor(zc, q, scale + abs(value))
-    return EvalResult(value, estimate, d1.terms_used + len(finite) + len(kept), METHOD_NEG_INT)
+    value, estimate, used = _neg_int_series(n, q, 2, heads, policy)
+    estimate += 2.0 * abs(log_q) * d1.error_estimate
+    return EvalResult(value, estimate, d1.terms_used + used, METHOD_NEG_INT)
 
 
 # ---------------------------------------------------------------------------
@@ -583,16 +525,14 @@ def deriv2_at_neg_int(
 def _shift_terms(zc: complex, q: float, m: int, q_threshold: float):
     """Partial sum, its absolute term scale, step count for the reduction."""
     steps = max(0, math.ceil(q_threshold - q))
-    acc = ComplexCompensatedSum()
-    scale = 0.0
+    terms: list[complex] = []
     for j in range(steps):
         base = q + j
         weight = (-math.log(base)) ** m if m else 1.0
         sign = -1.0 if j % 2 else 1.0
-        term = sign * weight * _power(base, -zc)
-        acc.add(term)
-        scale += abs(term)
-    return acc.value, scale, steps
+        terms.append(sign * weight * _power(base, -zc))
+    value, scale = _sum_with_scale(terms)
+    return value, scale, steps
 
 
 def shift_reduce(z, q: float, m: int = 0, q_threshold: float = 10.0):

@@ -13,6 +13,7 @@ from altzeta.cli import (
     EXIT_OK,
     EXIT_USAGE,
     OutputRecord,
+    build_parser,
     format_complex,
     main,
     parse_complex,
@@ -235,9 +236,46 @@ class TestVerify:
         ("2.5", 1e-300, 0, CapacityError, EXIT_USAGE),
         ("-300+0.5i", 2.0, 0, CapacityError, EXIT_USAGE),
         ("1e4", 30.0, 0, None, EXIT_ACCURACY),  # the value comes out NaN
+        # command lines that used to grow a grid without end or crash on an
+        # empty table; z holds the argv, whose handler must raise the error
+        pytest.param(
+            ("table", "--z-range", "1:2:nan", "--q-range", "10"),
+            None, None, DomainError, EXIT_USAGE, id="table-z-step-nan",
+        ),
+        pytest.param(
+            ("table", "--z-range", "1", "--q-range", "10:inf:1"),
+            None, None, DomainError, EXIT_USAGE, id="table-q-stop-inf",
+        ),
+        pytest.param(
+            ("table", "--z-range=-inf:1:1", "--q-range", "10"),
+            None, None, DomainError, EXIT_USAGE, id="table-z-start-inf",
+        ),
+        pytest.param(
+            ("table", "--z-range", "1", "--q-range", "ten"),
+            None, None, DomainError, EXIT_USAGE, id="table-q-not-a-number",
+        ),
+        pytest.param(
+            ("coeffs", "--table", "pochhammer-derivative", "--k-max", "0"),
+            None, None, DomainError, EXIT_USAGE, id="coeffs-pochhammer-k0",
+        ),
+        pytest.param(
+            ("coeffs", "--table", "expansion", "--k-max", "1"),
+            None, None, DomainError, EXIT_USAGE, id="coeffs-expansion-k1",
+        ),
+        pytest.param(
+            ("coeffs", "--table", "euler", "--k-max", "-1"),
+            None, None, DomainError, EXIT_USAGE, id="coeffs-euler-k-1",
+        ),
     ],
 )
 def test_bad_inputs_fail_typed_or_flagged(z, q, m, error, exit_code):
+    if isinstance(z, tuple):
+        args = build_parser().parse_args(list(z))
+        with pytest.raises(error):
+            args.func(args, io.StringIO())
+        assert run_cli(*z)[0] == exit_code
+        return
+
     def request():
         return evaluate(EvalRequest(parse_complex(z), q, m))
 

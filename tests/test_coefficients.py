@@ -15,8 +15,6 @@ from altzeta import (
     expansion_coefficient_at_neg_int,
     pochhammer,
     pochhammer_derivative,
-    split_double_sum,
-    truncated_double_sum,
 )
 
 LADDER_Z = [0.0, 1.0, 2.5, -0.5, complex(1, 2)]
@@ -218,31 +216,3 @@ class TestAlternatingBinomialSum:
         # k <= n: only j < k contributes
         assert alternating_binomial_partial_sum(3, 2) == Fraction(1, 2) - Fraction(3, 1)
 
-
-class TestDoubleSumSplit:
-    def test_exact_equality_on_finite_support(self):
-        # symbolic sequences with finite support, exact rational arithmetic
-        support = {2: Fraction(1, 3), 3: Fraction(-2), 5: Fraction(7, 2), 9: Fraction(1, 9)}
-
-        def a(k):
-            return support.get(k, Fraction(0))
-
-        def b(k, j):
-            return Fraction(k, j + 1) - Fraction(j, 3)
-
-        for n in range(2, 8):
-            lhs = truncated_double_sum(a, b, n, 12)
-            rhs = split_double_sum(a, b, n, 12)
-            assert lhs == rhs
-
-    def test_split_matches_on_floats(self):
-        def a(k):
-            return 1.0 / k**2
-
-        def b(k, j):
-            return (-1.0) ** j / (k - j)
-
-        for n in (2, 3, 5):
-            assert split_double_sum(a, b, n, 30) == pytest.approx(
-                truncated_double_sum(a, b, n, 30), rel=1e-14
-            )

@@ -15,6 +15,7 @@ from altzeta import (
     EvalRequest,
     EvalResult,
     TruncationPolicy,
+    alternating_binomial_partial_sum,
     deriv1_asymptotic,
     deriv1_at_neg_int,
     deriv1_neg_int_constant_term,
@@ -22,6 +23,7 @@ from altzeta import (
     deriv_m_asymptotic,
     euler_number_at_zero,
     euler_polynomial,
+    euler_polynomial_coefficients,
     evaluate,
     optimal_truncation_index,
     regime_threshold,
@@ -340,6 +342,38 @@ class TestExplicitNegativeInteger:
         got = deriv2_at_neg_int(1, q)
         assert got.value.real == pytest.approx(want, rel=1e-13)
 
+    def test_second_derivative_literal_n0(self):
+        # log^2(q)/2 - log(q)/(2q) + sum_k E_k(0) [log(q)/k - H_(k-1)/k] q^(-k)
+        q = 30.0
+        log_q = math.log(q)
+        want = 0.5 * log_q**2 - 0.5 * log_q / q
+        for k in range(2, 44):
+            ek = euler_number_at_zero(k)
+            if ek:
+                harmonic = sum(1.0 / j for j in range(1, k))
+                want += float(ek) * (log_q / k - harmonic / k) * q ** (-k)
+        got = deriv2_at_neg_int(0, q)
+        assert got.value.real == pytest.approx(want, rel=1e-13)
+        assert got.method == "explicit_neg_int"
+
+    @pytest.mark.parametrize("n", [13, 20, 40])
+    def test_first_derivative_exact_weights_large_n(self, n):
+        # q^(n-1)/4 - E_n(q) log(q)/2 - (1/2) sum_k E_k(0) w_k q^(n-k) with
+        # the exact binomial weights w_k, summed in rationals: the block
+        # k <= n in full, the tail k > n up to its smallest exact term
+        q = 60
+        weighted = [
+            (k, euler_number_at_zero(k) * alternating_binomial_partial_sum(n, k))
+            for k in range(2, 257)
+        ]
+        terms = [(k, c * Fraction(q) ** (n - k)) for k, c in weighted]
+        stop = min((abs(t), k) for k, t in terms if k > n and t)[1]
+        series = sum(t for k, t in terms if k < stop)
+        e_n = sum(c * Fraction(q) ** i for i, c in enumerate(euler_polynomial_coefficients(n)))
+        ref = float(Fraction(q) ** (n - 1) / 4 - series / 2) - 0.5 * float(e_n) * math.log(q)
+        got = deriv1_at_neg_int(n, float(q))
+        assert abs(got.value - ref) <= got.error_estimate
+
     def test_second_derivative_leading_structure_n3(self):
         # q^3 log^2(q)/2 - ((3/2) log^2(q) + log(q)) q^2 / 2 + ...
         q = 1.0e5
@@ -393,11 +427,10 @@ class TestExplicitNegativeInteger:
         q = 30.0
         oracle = zeta_series(0.0, q, 2, 1e-15).value
         standard = deriv2_at_neg_int(0, q).value
-        doubled = deriv2_at_neg_int(0, q, n0_tail_doubled=True).value
+        log_q = math.log(q)
+        doubled = 2.0 * standard - (0.5 * log_q * log_q - 0.5 * log_q / q)
         assert abs(standard - oracle) <= 1e-9
         assert abs(doubled - oracle) > 1e-6  # the variant misses by the tail scale
-        with pytest.raises(DomainError):
-            deriv2_at_neg_int(1, q, n0_tail_doubled=True)
 
 
 class TestShiftReduce:
@@ -581,3 +614,34 @@ class TestEnvironmentCap:
         monkeypatch.setenv("ZETAE_MAX_TERMS", "many")
         with pytest.raises(DomainError):
             zeta_asymptotic(2.5, 30.0)
+
+
+@pytest.mark.parametrize("q", [math.inf, -math.inf, math.nan])
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda q: EvalRequest(2.0, q),
+        lambda q: zeta_series(2.0, q),
+        lambda q: zeta_asymptotic(2.0, q),
+        lambda q: deriv1_asymptotic(2.0, q),
+        lambda q: deriv_m_asymptotic(2.0, q, 3),
+        lambda q: zeta_special_value(3, q),
+        lambda q: deriv1_at_neg_int(2, q),
+        lambda q: deriv2_at_neg_int(2, q),
+        lambda q: shift_reduce(2.0, q),
+    ],
+    ids=[
+        "EvalRequest",
+        "zeta_series",
+        "zeta_asymptotic",
+        "deriv1_asymptotic",
+        "deriv_m_asymptotic",
+        "zeta_special_value",
+        "deriv1_at_neg_int",
+        "deriv2_at_neg_int",
+        "shift_reduce",
+    ],
+)
+def test_non_finite_q_raises_domain_error(call, q):
+    with pytest.raises(DomainError):
+        call(q)
