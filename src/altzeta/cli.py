@@ -10,6 +10,7 @@ output additionally carries a timestamp.
 from __future__ import annotations
 
 import argparse
+import cmath
 import csv
 import io
 import json
@@ -240,6 +241,10 @@ def cmd_table(args, stdout) -> int:
 
 def cmd_coeffs(args, stdout) -> int:
     rows: list[dict]
+    if args.table != "euler":
+        z = parse_complex(args.z)
+        if not cmath.isfinite(z):
+            raise DomainError(f"--z must be finite, got {args.z}")
     if args.table == "euler":
         rows = []
         for k in range(args.k_max + 1):
@@ -257,14 +262,12 @@ def cmd_coeffs(args, stdout) -> int:
                 }
             )
     elif args.table == "pochhammer-derivative":
-        z = parse_complex(args.z)
         rows = []
         for k in range(1, args.k_max + 1):
-            value = pochhammer_derivative(complex(z), k)
+            value = pochhammer_derivative(z, k)
             rows.append({"k": k, "value_re": repr(value.real), "value_im": repr(value.imag)})
     else:  # expansion
-        z = parse_complex(args.z)
-        cache = CoefficientCache(complex(z))
+        cache = CoefficientCache(z)
         rows = []
         for k in range(2, args.k_max + 1):
             value = expansion_coefficient(cache, k, args.m)

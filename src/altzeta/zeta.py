@@ -16,8 +16,9 @@ against each other:
   powers of log q; all orders share one coefficient cache.
 * ``zeta_special_value`` / ``deriv1_at_neg_int`` / ``deriv2_at_neg_int``:
   the closed form at z = -n, and the explicit first- and second-derivative
-  expansions there, which are the layer-1 and layer-2 tails of the same
-  expansion split into a finite block k <= n and an asymptotic tail.
+  expansions there, which are orders 1 and 2 of the same one-pass
+  expansion: at z = -n its tails split into a block k <= n, a polynomial
+  in q summed in full, and an asymptotic tail k > n under the policy.
 
 ``evaluate`` dispatches between the routes, shifting q upward through the
 reflection identity zeta(z, q+1) + zeta(z, q) = q^(-z) when q is below the
@@ -149,7 +150,9 @@ class TruncationPolicy:
         limit = _env_max_terms()
         if limit is not None:
             hi = min(hi, 1 + limit)
-        return max(hi, 2)
+        # k = 2 is an exact zero (E_2(0) = 0); k = 3 is the first nonzero
+        # tail index, so reach it for the first omitted term to be seen.
+        return max(hi, 3)
 
 
 @dataclass(frozen=True)
@@ -165,12 +168,7 @@ class EvalRequest:
         if not cmath.isfinite(complex(self.z)):
             raise DomainError(f"z must be finite, got {self.z}")
         _check_q(self.q)
-        if not isinstance(self.m, int) or isinstance(self.m, bool):
-            raise DomainError(f"derivative order must be an int, got {self.m!r}")
-        if self.m < 0:
-            raise DomainError(f"derivative order must be non-negative, got {self.m}")
-        if self.m > M_MAX:
-            raise CapacityError(f"derivative order {self.m} exceeds the supported maximum {M_MAX}")
+        _check_order(self.m)
         if not self.target_accuracy > 0:
             raise DomainError("target accuracy must be positive")
 
@@ -195,8 +193,23 @@ def _check_q(q: float) -> None:
         raise DomainError(f"q must be positive and finite, got {q}")
 
 
+def _check_order(m: int) -> None:
+    if not isinstance(m, int) or isinstance(m, bool):
+        raise DomainError(f"derivative order must be an int, got {m!r}")
+    if m < 0:
+        raise DomainError(f"derivative order must be non-negative, got {m}")
+    if m > M_MAX:
+        raise CapacityError(f"derivative order {m} exceeds the supported maximum {M_MAX}")
+
+
 def _power(base: float, exponent: complex) -> complex:
-    """base**exponent for base > 0 through the principal real logarithm."""
+    """base**exponent for base > 0 on the principal branch.
+
+    A real exponent goes through the real power, good to about an ulp;
+    exp would amplify the rounding of exponent * log(base) by that product.
+    """
+    if exponent.imag == 0.0:
+        return complex(base ** exponent.real)
     return cmath.exp(exponent * math.log(base))
 
 
@@ -314,10 +327,7 @@ def zeta_series(z, q: float, m: int = 0, tol: float = 1e-12) -> EvalResult:
     budget cannot reach ``tol``.
     """
     _check_q(q)
-    if m < 0:
-        raise DomainError(f"derivative order must be non-negative, got {m}")
-    if m > M_MAX:
-        raise CapacityError(f"derivative order {m} exceeds the supported maximum {M_MAX}")
+    _check_order(m)
     if not tol > 0:
         raise DomainError("tol must be positive")
 
@@ -368,10 +378,13 @@ def _expansion(zc: complex, q: float, m: int, policy: TruncationPolicy | None) -
     Order i is q^(-z)/2 (i = 0 only) + g_i(1) q^(-z-1)/4
     - sum_{j=1}^{i} C(i, j) value_{i-j} log^j q minus the E_k(0)-weighted
     tail on layer i; the g_i(1) head is the k = 1 tail term, nonzero only
-    for i <= 1.  At z = -n the order-0 tail terminates at k = n and is
-    exact up to rounding, whatever the policy.  Each estimate is the first
-    omitted term plus a rounding floor plus the lower-order estimates
-    carried through the binomial-log weights; terms_used is cumulative.
+    for i <= 1.  At z = -n the rising factorials (z)_j vanish for j > n:
+    the order-0 tail terminates at k = n and is exact up to rounding,
+    whatever the policy, and for i >= 1 the block k <= n is a polynomial
+    in q that is summed in full, so only the tail k > n follows the
+    policy.  Each estimate is the first omitted term plus a rounding floor
+    plus the lower-order estimates carried through the binomial-log
+    weights; terms_used is cumulative.
     """
     policy = policy or TruncationPolicy()
     n = _as_nonpos_int(zc)
@@ -381,6 +394,9 @@ def _expansion(zc: complex, q: float, m: int, policy: TruncationPolicy | None) -
     log_q = math.log(q)
     cache = CoefficientCache(zc)
     cap = policy.scan_limit(q)
+    split = 0  # tail terms k = 2..split+1 form the exact block
+    if n is not None:
+        cap, split = max(cap, n + 2), max(0, n - 1)
     results: list[EvalResult] = []
     for i in range(m + 1):
         heads = [0.5 * qmz] if i == 0 else []
@@ -389,7 +405,9 @@ def _expansion(zc: complex, q: float, m: int, policy: TruncationPolicy | None) -
         if i == 0 and n is not None:
             kept, omitted = _tail_term_list(zc, q, 0, cache, n), 0.0
         else:
-            kept, omitted = _plan_tail(_tail_term_list(zc, q, i, cache, cap), policy)
+            terms = _tail_term_list(zc, q, i, cache, cap)
+            kept, omitted = _plan_tail(terms[split:], policy, k_start=2 + split)
+            kept = terms[:split] + kept
         value, scale = _sum_with_scale(heads + kept)
         estimate = omitted + _float_floor(zc, q, scale + abs(value))
         for j in range(1, i + 1):
@@ -417,10 +435,9 @@ def deriv_m_asymptotic(z, q: float, m: int, policy: TruncationPolicy | None = No
     """Order-m derivative (m >= 2): -sum_{j=1}^{m} C(m, j) value_{m-j}
     log^j q minus the tail on layer m, all orders under the same policy."""
     _check_q(q)
+    _check_order(m)
     if m < 2:
         raise DomainError(f"this route needs m >= 2, got {m}")
-    if m > M_MAX:
-        raise CapacityError(f"derivative order {m} exceeds the supported maximum {M_MAX}")
     return _expansion(complex(z), q, m, policy)[m]
 
 
@@ -452,27 +469,6 @@ def deriv1_neg_int_constant_term(n: int) -> Fraction:
     return Fraction(-1, 2) * euler_number_at_zero(n) * alternating_binomial_partial_sum(n, n)
 
 
-def _neg_int_series(
-    n: int, q: float, layer: int, heads: list[complex], policy: TruncationPolicy
-) -> tuple[complex, float, int]:
-    """Heads minus the layer tail at z = -n, with the tail split at k = n.
-
-    At z = -n the rising factorials (z)_j vanish for j > n, so the inner
-    sums of g_layer(k) stop at n: the block k <= n is a polynomial in q,
-    summed in full, and only the tail k > n follows the policy.  Returns
-    the value, its estimate (first omitted term plus the rounding floor)
-    and the number of tail terms summed.
-    """
-    zc = complex(-n)
-    cap = max(policy.scan_limit(q), n + 2)
-    terms = _tail_term_list(zc, q, layer, CoefficientCache(zc), cap)
-    finite, tail = terms[: max(0, n - 1)], terms[max(0, n - 1) :]  # k <= n, then k > n
-    kept, omitted = _plan_tail(tail, policy, k_start=max(2, n + 1))
-    value, scale = _sum_with_scale(heads + finite + kept)
-    estimate = omitted + _float_floor(zc, q, scale + abs(value))
-    return value, estimate, len(finite) + len(kept)
-
-
 def _check_neg_int(n: int, q: float) -> None:
     _check_q(q)
     if n < 0:
@@ -482,40 +478,28 @@ def _check_neg_int(n: int, q: float) -> None:
 
 
 def deriv1_at_neg_int(n: int, q: float, policy: TruncationPolicy | None = None) -> EvalResult:
-    """Explicit first-derivative expansion at z = -n.
+    """Explicit first-derivative expansion at z = -n: order 1 of the one
+    expansion, q^(n-1)/4 - E_n(q) log(q)/2 minus the layer-1 tail.
 
-    q^(n-1)/4 - E_n(q) log(q)/2 minus the layer-1 tail at z = -n, whose
-    coefficient g_1(k) is the binomial sum sum_{j<=min(n, k-1)} C(n, j)
-    (-1)^j / (k-j): a partial sum for k <= n (the exact polynomial block)
-    and (-1)^n n! / (k (k-1) ... (k-n)) for k > n (the asymptotic tail, the
+    At z = -n the coefficient g_1(k) is the binomial sum
+    sum_{j<=min(n, k-1)} C(n, j) (-1)^j / (k-j): a partial sum for k <= n
+    (the exact polynomial block, summed in full) and
+    (-1)^n n! / (k (k-1) ... (k-n)) for k > n (the asymptotic tail, the
     only part subject to the truncation policy).
     """
     _check_neg_int(n, q)
-    policy = policy or TruncationPolicy()
-    heads = [complex(0.25 * q ** (n - 1)), complex(-0.5 * euler_polynomial(n, q) * math.log(q))]
-    value, estimate, used = _neg_int_series(n, q, 1, heads, policy)
-    return EvalResult(value, estimate, 2 + used, METHOD_NEG_INT)
+    return replace(_expansion(complex(-n), q, 1, policy)[1], method=METHOD_NEG_INT)
 
 
 def deriv2_at_neg_int(n: int, q: float, policy: TruncationPolicy | None = None) -> EvalResult:
-    """Explicit second-derivative expansion at z = -n.
-
-    -2 * deriv1 * log q - E_n(q) log^2(q) / 2 minus the layer-2 tail with
-    inner sums truncated at n; the k <= n block is summed exactly and the
-    rest follows the policy.  At n = 0 this is log^2(q)/2 - log(q)/(2q)
-    plus the series sum_k E_k(0) [log(q)/k - H_(k-1)/k] q^(-k).
+    """Explicit second-derivative expansion at z = -n: order 2 of the one
+    expansion, -2 * deriv1 * log q - E_n(q) log^2(q) / 2 minus the layer-2
+    tail, its k <= n block summed in full and the rest under the policy.
+    At n = 0 this is log^2(q)/2 - log(q)/(2q) plus the series
+    sum_k E_k(0) [log(q)/k - H_(k-1)/k] q^(-k).
     """
     _check_neg_int(n, q)
-    policy = policy or TruncationPolicy()
-    log_q = math.log(q)
-    d1 = deriv1_at_neg_int(n, q, policy)
-    heads = [
-        -2.0 * d1.value * log_q,
-        complex(-0.5 * euler_polynomial(n, q) * log_q * log_q),
-    ]
-    value, estimate, used = _neg_int_series(n, q, 2, heads, policy)
-    estimate += 2.0 * abs(log_q) * d1.error_estimate
-    return EvalResult(value, estimate, d1.terms_used + used, METHOD_NEG_INT)
+    return replace(_expansion(complex(-n), q, 2, policy)[2], method=METHOD_NEG_INT)
 
 
 # ---------------------------------------------------------------------------
@@ -545,8 +529,7 @@ def shift_reduce(z, q: float, m: int = 0, q_threshold: float = 10.0):
     sum_{j<M} (-1)^j (-log(q+j))^m (q+j)^(-z).
     """
     _check_q(q)
-    if m < 0:
-        raise DomainError(f"derivative order must be non-negative, got {m}")
+    _check_order(m)
     zc = complex(z)
     value, _, steps = _shift_terms(zc, q, m, q_threshold)
     return value, q + float(steps), (-1 if steps % 2 else 1)

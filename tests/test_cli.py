@@ -266,6 +266,14 @@ class TestVerify:
             ("coeffs", "--table", "euler", "--k-max", "-1"),
             None, None, DomainError, EXIT_USAGE, id="coeffs-euler-k-1",
         ),
+        pytest.param(
+            ("coeffs", "--table", "pochhammer-derivative", "--k-max", "3", "--z", "nan"),
+            None, None, DomainError, EXIT_USAGE, id="coeffs-pochhammer-z-nan",
+        ),
+        pytest.param(
+            ("coeffs", "--table", "expansion", "--k-max", "4", "--z", "inf"),
+            None, None, DomainError, EXIT_USAGE, id="coeffs-expansion-z-inf",
+        ),
     ],
 )
 def test_bad_inputs_fail_typed_or_flagged(z, q, m, error, exit_code):

@@ -645,3 +645,23 @@ class TestEnvironmentCap:
 def test_non_finite_q_raises_domain_error(call, q):
     with pytest.raises(DomainError):
         call(q)
+
+
+@pytest.mark.parametrize(
+    "m,error",
+    [(1.5, DomainError), (2.0, DomainError), (True, DomainError), (-1, DomainError), (9, CapacityError)],
+    ids=["float", "integral-float", "bool", "negative", "above-max"],
+)
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda m: EvalRequest(2.5, 30.0, m),
+        lambda m: zeta_series(2.5, 30.0, m),
+        lambda m: deriv_m_asymptotic(2.5, 30.0, m),
+        lambda m: shift_reduce(2.5, 30.0, m),
+    ],
+    ids=["EvalRequest", "zeta_series", "deriv_m_asymptotic", "shift_reduce"],
+)
+def test_bad_derivative_order_raises_typed_error(call, m, error):
+    with pytest.raises(error):
+        call(m)
