@@ -1,14 +1,17 @@
 """Exact Euler-number and Euler-polynomial machinery.
 
 Everything downstream is built on the numbers E_k(0), the values at zero of
-the Euler polynomials E_k(q) generated by 2*exp(q*t)/(exp(t) + 1).  The
-table is computed once in exact rational arithmetic from the reflection
-identity E_n(q+1) + E_n(q) = 2*q^n specialised to q = 0, which gives
+the Euler polynomials E_k(q) generated by 2*exp(q*t)/(exp(t) + 1).  Since
+2/(exp(t) + 1) = 1 - tanh(t/2), they are the tangent numbers T_k (the
+Taylor coefficients of tan, times k!) up to sign and a power of two:
 
-    2*E_n(0) = -sum_{k=0}^{n-1} C(n, k) * E_k(0)      (n >= 1).
+    E_0(0) = 1,   E_(2j-1)(0) = (-1)^j * T_(2j-1) / 2^(2j-1),
+    E_k(0) = 0    for even k >= 2.
 
-Floating point enters only at evaluation time, through a single rounding of
-the exact coefficients.
+The table is built once, on first use, from the integer tangent-number
+recurrence of Knuth and Buckholtz (Math. Comp. 21 (1967), 663-688), so no
+rational arithmetic enters its construction.  Floating point enters only
+at evaluation time, through a single rounding of the exact values.
 """
 
 from __future__ import annotations
@@ -26,14 +29,24 @@ K_MAX = 256
 
 @lru_cache(maxsize=1)
 def _euler_number_table() -> tuple[Fraction, ...]:
-    """E_k(0) for k = 0..K_MAX, exact and immutable once built."""
-    values = [Fraction(1)]
-    for n in range(1, K_MAX + 1):
-        acc = Fraction(0)
-        for k in range(n):
-            if values[k]:
-                acc += math.comb(n, k) * values[k]
-        values.append(-acc / 2)
+    """E_k(0) for k = 0..K_MAX, exact and immutable once built.
+
+    t[j] runs through the tangent numbers T_(2j-1), j = 1..K_MAX/2, by the
+    Knuth-Buckholtz recurrence: seed t[j] = (j-1)*t[j-1] (the factorials),
+    then for k = 2, 3, ... sweep t[j] = (j-k)*t[j-1] + (j-k+2)*t[j] over
+    j >= k.  All arithmetic is on integers.
+    """
+    half = K_MAX // 2
+    t = [0, 1] + [0] * (half - 1)
+    for k in range(2, half + 1):
+        t[k] = (k - 1) * t[k - 1]
+    for k in range(2, half + 1):
+        for j in range(k, half + 1):
+            t[j] = (j - k) * t[j - 1] + (j - k + 2) * t[j]
+    values = [Fraction(0)] * (K_MAX + 1)
+    values[0] = Fraction(1)
+    for j in range(1, half + 1):
+        values[2 * j - 1] = Fraction((-1) ** j * t[j], 1 << (2 * j - 1))
     return tuple(values)
 
 
@@ -51,9 +64,11 @@ def euler_number_over_factorial(k: int) -> float:
     """float(E_k(0) / k!).
 
     This ratio decays like 4/pi^(k+1), so it stays representable for every
-    k <= K_MAX even where E_k(0) itself overflows a double.
+    k <= K_MAX even where E_k(0) itself overflows a double.  Integer true
+    division is correctly rounded, so no Fraction is formed.
     """
-    return float(euler_number_at_zero(k) / math.factorial(k))
+    e = euler_number_at_zero(k)
+    return e.numerator / (e.denominator * math.factorial(k))
 
 
 @lru_cache(maxsize=None)

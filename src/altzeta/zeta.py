@@ -417,18 +417,35 @@ def _expansion(zc: complex, q: float, m: int, policy: TruncationPolicy | None) -
     return results
 
 
+def _direct(zc: complex, q: float, m: int, policy: TruncationPolicy | None) -> EvalResult:
+    """Order m of the expansion under the failure rules of ``evaluate``:
+    arithmetic overflow or a zero divisor raises ``CapacityError``, and a
+    non-finite value comes back with an infinite estimate and a note."""
+    try:
+        result = _expansion(zc, q, m, policy)[m]
+    except (OverflowError, ZeroDivisionError):
+        raise CapacityError(f"arithmetic overflow at z={zc}, q={q}, m={m}") from None
+    if cmath.isfinite(result.value) and not math.isnan(result.error_estimate):
+        return result
+    return replace(
+        result,
+        error_estimate=math.inf,
+        note="accuracy warning: non-finite value or estimate; estimate inf",
+    )
+
+
 def zeta_asymptotic(z, q: float, policy: TruncationPolicy | None = None) -> EvalResult:
     """Large-q expansion of zeta(z, q): q^(-z)/2 + z q^(-z-1)/4 minus the
     E_k(0)-weighted tail, truncated by ``policy`` (exact at z = -n)."""
     _check_q(q)
-    return _expansion(complex(z), q, 0, policy)[0]
+    return _direct(complex(z), q, 0, policy)
 
 
 def deriv1_asymptotic(z, q: float, policy: TruncationPolicy | None = None) -> EvalResult:
     """Large-q expansion of the first z-derivative: q^(-z-1)/4
     - zeta(z, q) log q minus the tail on the Pochhammer-derivative layer."""
     _check_q(q)
-    return _expansion(complex(z), q, 1, policy)[1]
+    return _direct(complex(z), q, 1, policy)
 
 
 def deriv_m_asymptotic(z, q: float, m: int, policy: TruncationPolicy | None = None) -> EvalResult:
@@ -438,7 +455,7 @@ def deriv_m_asymptotic(z, q: float, m: int, policy: TruncationPolicy | None = No
     _check_order(m)
     if m < 2:
         raise DomainError(f"this route needs m >= 2, got {m}")
-    return _expansion(complex(z), q, m, policy)[m]
+    return _direct(complex(z), q, m, policy)
 
 
 # ---------------------------------------------------------------------------
@@ -488,7 +505,7 @@ def deriv1_at_neg_int(n: int, q: float, policy: TruncationPolicy | None = None) 
     only part subject to the truncation policy).
     """
     _check_neg_int(n, q)
-    return replace(_expansion(complex(-n), q, 1, policy)[1], method=METHOD_NEG_INT)
+    return replace(_direct(complex(-n), q, 1, policy), method=METHOD_NEG_INT)
 
 
 def deriv2_at_neg_int(n: int, q: float, policy: TruncationPolicy | None = None) -> EvalResult:
@@ -499,7 +516,7 @@ def deriv2_at_neg_int(n: int, q: float, policy: TruncationPolicy | None = None) 
     sum_k E_k(0) [log(q)/k - H_(k-1)/k] q^(-k).
     """
     _check_neg_int(n, q)
-    return replace(_expansion(complex(-n), q, 2, policy)[2], method=METHOD_NEG_INT)
+    return replace(_direct(complex(-n), q, 2, policy), method=METHOD_NEG_INT)
 
 
 # ---------------------------------------------------------------------------

@@ -191,6 +191,23 @@ class TestCoeffs:
         assert lines[1] == "0,1,1,1.0"
         assert lines[4] == "3,1,4,0.25"
 
+    def test_euler_table_matches_oracle_row_for_row(self):
+        from test_euler import numbers_by_reflection
+
+        code, out = run_cli("coeffs", "--table", "euler", "--k-max", "256")
+        assert code == EXIT_OK
+        lines = out.strip().splitlines()
+        assert lines[0] == "k,numerator,denominator,value"
+        oracle = numbers_by_reflection()
+        assert len(lines) == len(oracle) + 1
+        for k, (line, exact) in enumerate(zip(lines[1:], oracle)):
+            try:
+                approx = repr(float(exact))
+            except OverflowError:
+                approx = ""
+            expected = f"{k},{exact.numerator},{exact.denominator},{approx}"
+            assert line == expected, k
+
     def test_pochhammer_derivative_table(self):
         code, out = run_cli(
             "coeffs", "--table", "pochhammer-derivative", "--k-max", "3", "--z", "0"

@@ -2,6 +2,7 @@
 
 import math
 from fractions import Fraction
+from functools import lru_cache
 
 import pytest
 
@@ -15,6 +16,7 @@ from altzeta import (
     fourier_partial_sum,
     quasi_periodic_euler,
 )
+from altzeta.euler import euler_number_over_factorial
 
 
 def _poly_exact(n, q):
@@ -49,6 +51,24 @@ def numbers_by_series_division(count):
     return [coeffs[k] * math.factorial(k) for k in range(count + 1)]
 
 
+@lru_cache(maxsize=1)
+def numbers_by_reflection():
+    """Independent oracle for the whole table, k = 0..K_MAX.
+
+    The reflection identity E_n(q+1) + E_n(q) = 2*q^n at q = 0 gives
+    2*E_n(0) = -sum_{k<n} C(n, k) E_k(0) for n >= 1, solved in exact
+    rational arithmetic; no shared code with the tangent-number build.
+    """
+    values = [Fraction(1)]
+    for n in range(1, K_MAX + 1):
+        acc = Fraction(0)
+        for k in range(n):
+            if values[k]:
+                acc += math.comb(n, k) * values[k]
+        values.append(-acc / 2)
+    return tuple(values)
+
+
 class TestEulerNumberAtZero:
     def test_first_values(self):
         assert euler_number_at_zero(0) == 1
@@ -66,11 +86,26 @@ class TestEulerNumberAtZero:
         for k in range(33):
             assert euler_number_at_zero(k) == oracle[k]
 
+    def test_whole_table_against_reflection_oracle(self):
+        oracle = numbers_by_reflection()
+        for k in range(K_MAX + 1):
+            assert euler_number_at_zero(k) == oracle[k], k
+
+    def test_ratio_over_factorial_bit_identical(self):
+        oracle = numbers_by_reflection()
+        for k in range(K_MAX + 1):
+            expected = float(oracle[k] / math.factorial(k))
+            assert euler_number_over_factorial(k).hex() == expected.hex(), k
+
     def test_capacity_and_domain(self):
         with pytest.raises(CapacityError):
             euler_number_at_zero(K_MAX + 1)
         with pytest.raises(DomainError):
             euler_number_at_zero(-1)
+        with pytest.raises(CapacityError):
+            euler_number_over_factorial(K_MAX + 1)
+        with pytest.raises(DomainError):
+            euler_number_over_factorial(-1)
 
 
 class TestEulerPolynomial:

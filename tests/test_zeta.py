@@ -665,3 +665,37 @@ def test_non_finite_q_raises_domain_error(call, q):
 def test_bad_derivative_order_raises_typed_error(call, m, error):
     with pytest.raises(error):
         call(m)
+
+
+@pytest.mark.parametrize(
+    "call,error",
+    [
+        (lambda: zeta_asymptotic(complex(-254), 0.5), None),
+        (lambda: deriv1_asymptotic(complex(-254), 0.5), None),
+        (lambda: deriv_m_asymptotic(complex(-254), 0.5, 2), None),
+        (lambda: deriv1_at_neg_int(254, 0.5), None),
+        (lambda: deriv2_at_neg_int(254, 0.5), None),
+        (lambda: zeta_asymptotic(1e4, 0.5), CapacityError),
+        (lambda: zeta_asymptotic(-300 + 0.5j, 1e-300), CapacityError),
+    ],
+    ids=[
+        "zeta_asymptotic-nan",
+        "deriv1_asymptotic-nan",
+        "deriv_m_asymptotic-nan",
+        "deriv1_at_neg_int-nan",
+        "deriv2_at_neg_int-nan",
+        "zeta_asymptotic-overflow",
+        "zeta_asymptotic-zero-divisor",
+    ],
+)
+def test_direct_expansion_failures_are_flagged_or_typed(call, error):
+    # the direct entry points follow evaluate's rules: arithmetic failure
+    # is a CapacityError, and a non-finite value never comes back silently
+    if error is not None:
+        with pytest.raises(error):
+            call()
+        return
+    result = call()
+    assert not cmath.isfinite(result.value)
+    assert result.error_estimate == math.inf
+    assert result.note is not None and "accuracy warning" in result.note
