@@ -425,13 +425,10 @@ def _direct(zc: complex, q: float, m: int, policy: TruncationPolicy | None) -> E
         result = _expansion(zc, q, m, policy)[m]
     except (OverflowError, ZeroDivisionError):
         raise CapacityError(f"arithmetic overflow at z={zc}, q={q}, m={m}") from None
-    if cmath.isfinite(result.value) and not math.isnan(result.error_estimate):
+    if cmath.isfinite(result.value):
         return result
-    return replace(
-        result,
-        error_estimate=math.inf,
-        note="accuracy warning: non-finite value or estimate; estimate inf",
-    )
+    note = "accuracy warning: non-finite value; estimate inf"
+    return replace(result, error_estimate=math.inf, note=note)
 
 
 def zeta_asymptotic(z, q: float, policy: TruncationPolicy | None = None) -> EvalResult:
