@@ -54,30 +54,35 @@ def pochhammer_derivative(z, k: int):
     return CoefficientCache(z).layer(1, k)
 
 
-def _grow(rows: list[list], m: int, j: int, factor) -> None:
+def _grow(rows: list[list], m: int, j: int, factors: list) -> None:
     """Extend rows[0..m] through index j by the layer recurrence
-    (t + 1) r_i(t + 1) = factor(t) r_i(t) + i r_{i-1}(t)."""
+    (t + 1) r_i(t + 1) = factors[t] r_i(t) + i r_{i-1}(t)."""
     while len(rows) <= m:
         rows.append([rows[0][0] * 0])
     for i in range(m + 1):
         row = rows[i]
-        for t in range(len(row) - 1, j):
-            v = factor(t) * row[t]
-            if i:
-                v += i * rows[i - 1][t]
-            row.append(v / (t + 1))
+        v = row[-1]
+        if i:
+            prev = rows[i - 1]
+            for t in range(len(row) - 1, j):
+                v = (factors[t] * v + i * prev[t]) / (t + 1)
+                row.append(v)
+        else:
+            for t in range(len(row) - 1, j):
+                v = factors[t] * v / (t + 1)
+                row.append(v)
 
 
 class CoefficientCache:
     """Memoized layers g_i(j) for one fixed evaluation point z.
 
     Each layer is grown by the first-order recurrence of the module
-    docstring.  In floating mode the same recurrence run on absolute values
-    (|z + j| and |g|) gives a magnitude table: it bounds the scale against
-    which rounding acts, so callers can tell an exact zero evaluated in
-    floats (pure noise) from a genuinely small coefficient.  A cache must
-    not be shared across threads; recomputation from a fresh cache is
-    always safe.
+    docstring, a whole row at a time over the shared factors z + t.  In
+    floating mode the same recurrence run on absolute values (|z + t| and
+    |g|) gives a magnitude table: it bounds the scale against which
+    rounding acts, so callers can tell an exact zero evaluated in floats
+    (pure noise) from a genuinely small coefficient.  A cache must not be
+    shared across threads; recomputation from a fresh cache is always safe.
     """
 
     def __init__(self, z):
@@ -86,29 +91,35 @@ class CoefficientCache:
         one = Fraction(1) if self.exact else complex(z) * 0 + (1.0 + 0.0j)
         self._layers: list[list] = [[one]]
         self._mag_layers: list[list[float]] | None = None if self.exact else [[1.0]]
+        self._shifts: list = []  # z + t
+        self._mag_shifts: list[float] = []  # |z + t|
 
     def layer(self, m: int, j: int):
         """g_m(j), growing the underlying tables as needed."""
-        if m < 0 or j < 0:
-            raise DomainError(f"layer indices must be non-negative, got m={m}, j={j}")
-        self._ensure(m, j)
-        return self._layers[m][j]
+        return self.rows(m, j)[0][j]
 
     def layer_noise_scale(self, m: int, j: int) -> float:
         """Magnitude scale of the layer entry; rounding noise is eps times
         this.  Zero in exact mode (exact zeros are exact there)."""
         if self.exact:
             return 0.0
-        self._ensure(m, j)
-        return self._mag_layers[m][j]
+        return self.rows(m, j)[1][j]
 
-    def _ensure(self, m: int, j: int) -> None:
-        if m < len(self._layers) and j < len(self._layers[m]):
-            return  # both tables always grow together
-        z = self.z
-        _grow(self._layers, m, j, lambda t: z + t)
-        if self._mag_layers is not None:
-            _grow(self._mag_layers, m, j, lambda t: abs(z + t))
+    def rows(self, m: int, j: int) -> tuple[list, list[float] | None]:
+        """Layer m and its magnitude table (None in exact mode), each grown
+        through index j at least.  The lists are the cache's own: read them,
+        never write to them."""
+        if m < 0 or j < 0:
+            raise DomainError(f"layer indices must be non-negative, got m={m}, j={j}")
+        layers, mags = self._layers, self._mag_layers
+        if m >= len(layers) or j >= len(layers[m]):  # both tables grow together
+            shifts, mag_shifts = self._shifts, self._mag_shifts
+            shifts.extend(self.z + t for t in range(len(shifts), j))
+            _grow(layers, m, j, shifts)
+            if mags is not None:
+                mag_shifts.extend(map(abs, shifts[len(mag_shifts) : j]))
+                _grow(mags, m, j, mag_shifts)
+        return layers[m], None if mags is None else mags[m]
 
 
 def expansion_coefficient(cache: CoefficientCache, k: int, m: int):

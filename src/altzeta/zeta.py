@@ -60,6 +60,16 @@ _EPS = 8e-16
 _CVZ_RATE = 3.0 + math.sqrt(8.0)
 _CVZ_TERM_LIMIT = 400
 _ENV_MAX_TERMS = "ZETAE_MAX_TERMS"
+#: A layer entry at most this many times its magnitude scale is rounding
+#: noise around an exact zero.
+_SNAP = 64.0 * 2.2e-16
+#: Under the optimal policy an order's tail ends once two successive
+#: nonzero terms lie below this fraction of the magnitude sum of its heads:
+#: under 1% of the rounding floor of the sum, so later terms cannot change
+#: a double (the smallest term sits there or beyond).
+_ROUNDING_STOP = 2.0**-60
+#: Tail indices built per step while the rounding stop is being watched.
+_TAIL_CHUNK = 16
 
 
 # ---------------------------------------------------------------------------
@@ -100,9 +110,13 @@ class TruncationPolicy:
     """How to cut off a divergent expansion.
 
     ``optimal`` scans ascending term magnitudes and stops just before the
-    smallest nonzero term; ``fixed`` sums exactly ``fixed_n`` tail indices.
-    The optimal scan stops at 2*ceil(pi*q) + 10, which always covers the
-    smallest-term index at double precision.
+    smallest nonzero term; ``fixed`` sums exactly ``fixed_n`` tail indices
+    and builds the tail through index fixed_n + 2, so the first omitted
+    term is seen.  The optimal scan reaches at most 2*ceil(pi*q) + 10,
+    which always covers the smallest-term index at double precision; it
+    ends earlier, at the rounding floor, once two successive nonzero terms
+    lie below 2^-60 times the magnitude sum of the order's head terms:
+    no later term can change the double result.
     """
 
     mode: str = "optimal"
@@ -245,32 +259,79 @@ def optimal_truncation_index(terms) -> int:
     return len(terms) if best is None else best
 
 
-def _tail_term_list(zc: complex, q: float, layer: int, cache: CoefficientCache, k_hi: int) -> list[complex]:
-    """Tail terms -1/2 * E_k(0) * g_layer(k) * q^(-z-k) for k = 2..k_hi.
+class _TailWeights:
+    """Weights w_k = -1/2 * E_k(0)/q^k of the tail terms, w_k g_i(k) q^(-z),
+    grown on demand and shared by every order of one expansion.
 
     E_k(0)/q^k is carried as (E_k(0)/k!) * (k!/q^k); both factors stay
-    inside double range for every k <= K_MAX, unlike E_k(0) itself.
-    Coefficients whose magnitude sits below the rounding noise of their own
-    computation are snapped to exact zero: they are exact zeros of the
-    coefficient family (these occur at negative integer z), and a noise
-    value must not masquerade as the smallest term of the expansion.
+    inside double range for every k <= K_MAX, unlike E_k(0) itself.  The
+    list is indexed by k; w_0, w_1 and the even k (where E_k(0) = 0) hold
+    0.0 and are never read.
+    """
+
+    def __init__(self, q: float):
+        self.q = q
+        self.values = [0.0, 0.0]
+        self._p = 2.0 / (q * q)  # k!/q^k at k = len(values)
+
+    def upto(self, k_hi: int) -> list[float]:
+        values, q, p = self.values, self.q, self._p
+        for k in range(len(values), k_hi + 1):
+            values.append(-0.5 * (euler_number_over_factorial(k) * p) if k % 2 else 0.0)
+            p *= (k + 1) / q
+        self._p = p
+        return values
+
+
+def _tail_term_list(
+    zc: complex,
+    q: float,
+    layer: int,
+    cache: CoefficientCache,
+    k_hi: int,
+    weights: _TailWeights | None = None,
+    stop_below: float = 0.0,
+    k_min: int = 2,
+) -> list[complex]:
+    """Tail terms -1/2 * E_k(0) * g_layer(k) * q^(-z-k) for k = 2..k_hi.
+
+    The terms vanish at even k, where E_k(0) = 0.  Coefficients whose
+    magnitude sits below the rounding noise of their own computation are
+    snapped to exact zero: they are exact zeros of the coefficient family
+    (these occur at negative integer z), and a noise value must not
+    masquerade as the smallest term of the expansion.
+
+    With ``stop_below`` > 0 the list is built in chunks and ends at the
+    second of two successive nonzero terms at k >= k_min whose magnitudes
+    both lie below ``stop_below``: the caller sets that level under the
+    rounding floor of the sum, where further terms cannot change a double.
+    Otherwise, and when no such pair occurs, the list runs to k_hi.
     """
     if k_hi > K_MAX:
         raise CapacityError(f"tail index {k_hi} exceeds the exact table capacity {K_MAX}")
+    weights = weights or _TailWeights(q)
     qmz = _power(q, -zc)
-    cache.layer(layer, k_hi)  # grow the tables in one sweep
     out: list[complex] = []
-    p = 2.0 / (q * q)  # k!/q^k, starting at k = 2
-    for k in range(2, k_hi + 1):
-        f = euler_number_over_factorial(k)
-        if f == 0.0:
-            out.append(0j)
-        else:
-            g = cache.layer(layer, k)
-            if abs(g) <= 64.0 * 2.2e-16 * cache.layer_noise_scale(layer, k):
+    below = 0
+    start = 2
+    while start <= k_hi:
+        end = min(start + _TAIL_CHUNK - 1, k_hi) if stop_below > 0.0 else k_hi
+        w = weights.upto(end)
+        g_row, mag_row = cache.rows(layer, end)
+        for k in range(start, end + 1):
+            if not k % 2:
+                out.append(0j)
+                continue
+            g = g_row[k]
+            if abs(g) <= _SNAP * mag_row[k]:
                 g = 0.0
-            out.append(-0.5 * (f * p) * g * qmz)
-        p *= (k + 1) / q
+            term = w[k] * g * qmz
+            out.append(term)
+            if k >= k_min and term:
+                below = below + 1 if abs(term) < stop_below else 0
+                if below == 2:
+                    return out
+        start = end + 1
     return out
 
 
@@ -298,10 +359,14 @@ def _plan_tail(
 def _float_floor(zc: complex, q: float, scale: float) -> float:
     """Rounding floor for values assembled from powers q^(-z-k).
 
-    exp amplifies the rounding of its argument, so each power carries a
-    relative error of order |z log q| * eps on top of the accumulation
-    noise; the floor scales accordingly.
+    A complex power goes through exp, which amplifies the rounding of its
+    argument, so each power carries a relative error of order
+    |z log q| * eps on top of the accumulation noise and the floor scales
+    accordingly.  A real power is good to about an ulp (see ``_power``),
+    so at real z the floor is the accumulation noise alone.
     """
+    if zc.imag == 0.0:
+        return _EPS * scale
     return _EPS * (1.0 + abs(zc) * abs(math.log(q))) * scale
 
 
@@ -382,9 +447,12 @@ def _expansion(zc: complex, q: float, m: int, policy: TruncationPolicy | None) -
     the order-0 tail terminates at k = n and is exact up to rounding,
     whatever the policy, and for i >= 1 the block k <= n is a polynomial
     in q that is summed in full, so only the tail k > n follows the
-    policy.  Each estimate is the first omitted term plus a rounding floor
-    plus the lower-order estimates carried through the binomial-log
-    weights; terms_used is cumulative.
+    policy.  Under the optimal policy each tail is built only down to the
+    rounding floor (see ``_tail_term_list``); the layers and the weights
+    E_k(0)/q^k are built once and shared by every order.  Each estimate is
+    the first omitted term plus a rounding floor plus the lower-order
+    estimates carried through the binomial-log weights; terms_used is
+    cumulative.
     """
     policy = policy or TruncationPolicy()
     n = _as_nonpos_int(zc)
@@ -393,19 +461,22 @@ def _expansion(zc: complex, q: float, m: int, policy: TruncationPolicy | None) -
     qmz = _power(q, -zc)
     log_q = math.log(q)
     cache = CoefficientCache(zc)
+    weights = _TailWeights(q)
     cap = policy.scan_limit(q)
     split = 0  # tail terms k = 2..split+1 form the exact block
     if n is not None:
         cap, split = max(cap, n + 2), max(0, n - 1)
+    stop = _ROUNDING_STOP if policy.mode == "optimal" else 0.0
     results: list[EvalResult] = []
     for i in range(m + 1):
         heads = [0.5 * qmz] if i == 0 else []
         heads.append(0.25 * cache.layer(i, 1) * qmz / q)
         heads += [-math.comb(i, j) * results[i - j].value * log_q**j for j in range(1, i + 1)]
         if i == 0 and n is not None:
-            kept, omitted = _tail_term_list(zc, q, 0, cache, n), 0.0
+            kept, omitted = _tail_term_list(zc, q, 0, cache, n, weights), 0.0
         else:
-            terms = _tail_term_list(zc, q, i, cache, cap)
+            stop_below = stop * sum(map(abs, heads))
+            terms = _tail_term_list(zc, q, i, cache, cap, weights, stop_below, k_min=2 + split)
             kept, omitted = _plan_tail(terms[split:], policy, k_start=2 + split)
             kept = terms[:split] + kept
         value, scale = _sum_with_scale(heads + kept)

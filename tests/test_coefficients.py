@@ -140,6 +140,40 @@ class TestExpansionCoefficient:
                     else:  # exact zero (e.g. g_1(26) at -25/2): noise below the snap level
                         assert abs(got) <= 64 * 2.2e-16 * cache.layer_noise_scale(i, j)
 
+    @pytest.mark.parametrize("step", [1, 7, 24])
+    @pytest.mark.parametrize(
+        "z",
+        [2.5, -7.25, -12.0, complex(0.6, 37.3), -3],
+        ids=["2.5", "-7.25", "-12", "0.6+37.3i", "exact-3"],
+    )
+    def test_stepwise_growth_matches_one_sweep(self, z, step):
+        # Rows grown in small steps, one layer at a time in rotation so that
+        # rows lag and catch up, must equal one sweep bit for bit, and equal
+        # the per-entry accessors.
+        z = z if isinstance(z, int) else complex(z)
+        depth, k_max = 8, 256
+        stepped, swept = CoefficientCache(z), CoefficientCache(z)
+        swept.rows(depth, k_max)
+        for j in range(0, k_max + 1, step):
+            stepped.rows((j // step) % (depth + 1), j)
+        stepped.rows(depth, k_max)
+
+        def bits(x):
+            return x if stepped.exact else (x.real.hex(), x.imag.hex())
+
+        for i in range(depth + 1):
+            values, mags = stepped.rows(i, k_max)
+            want_values, want_mags = swept.rows(i, k_max)
+            assert len(values) == len(want_values) == k_max + 1
+            assert [bits(v) for v in values] == [bits(v) for v in want_values]
+            if stepped.exact:
+                assert mags is None and want_mags is None
+            else:
+                assert [m.hex() for m in mags] == [m.hex() for m in want_mags]
+            for j in range(k_max + 1):
+                assert bits(stepped.layer(i, j)) == bits(values[j])
+                assert stepped.layer_noise_scale(i, j) == (0.0 if stepped.exact else mags[j])
+
     def test_tail_index_starts_at_two(self):
         with pytest.raises(DomainError):
             expansion_coefficient(CoefficientCache(1.0), 1, 1)

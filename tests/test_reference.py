@@ -4,6 +4,10 @@ zeta(z, q) = 2^(-z) [zeta_H(z, q/2) - zeta_H(z, (q+1)/2)], differentiated in
 z by the product rule with zeta_H^(j) from ``mpmath.zeta(s, a, j)``.
 """
 
+import importlib.util
+import itertools
+from pathlib import Path
+
 import pytest
 
 from altzeta import (
@@ -16,6 +20,7 @@ from altzeta import (
     evaluate,
     zeta_asymptotic,
 )
+from altzeta import zeta
 
 mpmath = pytest.importorskip("mpmath")
 
@@ -88,3 +93,53 @@ def test_explicit_neg_int_keeps_full_precision(call, n, q, m):
     ref = reference(complex(-n), q, m)
     got = call(n, q).value
     assert error(got, ref) <= 1e-15 * float(abs(ref))
+
+
+def _expansion_result(z: complex, q: float, m: int, policy=None):
+    if m == 0:
+        return zeta_asymptotic(z, q, policy)
+    return deriv_m_asymptotic(z, q, m, policy)
+
+
+@pytest.mark.parametrize("m", [0, 2, 8])
+@pytest.mark.parametrize("q", [10.0, 30.0, 100.0, 170.5])
+@pytest.mark.parametrize("z", [2.5, -2.5, complex(1, 8), -5.0], ids=["2.5", "-2.5", "1+8i", "-5"])
+def test_rounding_stop_stays_within_estimate(monkeypatch, z, q, m):
+    # The optimal tail ends at the rounding floor; the scan it replaces
+    # runs to scan_limit.  Both must agree within the estimate, and the
+    # estimate must bound the true error.
+    z = complex(z)
+    stopped = _expansion_result(z, q, m)
+    assert error(stopped.value, reference(z, q, m)) <= stopped.error_estimate
+    # The optimal policy with the stop switched off scans to scan_limit at
+    # every q; fixed:scan_limit is a full scan too, except at q = 10, where
+    # index scan_limit lies far past the smallest term.
+    scans = [TruncationPolicy.fixed(TruncationPolicy.optimal().scan_limit(q))] if q >= 30 else []
+    monkeypatch.setattr(zeta, "_ROUNDING_STOP", 0.0)
+    scans.append(TruncationPolicy.optimal())
+    for policy in scans:
+        full = _expansion_result(z, q, m, policy)
+        assert abs(stopped.value - full.value) <= stopped.error_estimate, policy.describe()
+
+
+def _point_mix(seed: int, count: int):
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"
+    spec = importlib.util.spec_from_file_location("perfbench_workloads", path)
+    workloads = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(workloads)
+    return list(itertools.islice(workloads.point_mix(seed), count))
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_point_mix_estimates_bound_the_error(seed):
+    # The benchmark's request mix: every result off the oracle route must
+    # carry an estimate at least its true error.
+    under = []
+    for z, q, m, tol in _point_mix(seed, 60):
+        result = evaluate(EvalRequest(z, q, m, tol))
+        if result.method == zeta.METHOD_ORACLE:
+            continue
+        err = error(result.value, reference(z, q, m))
+        if not err <= result.error_estimate:
+            under.append((z, q, m, result.method, err, result.error_estimate))
+    assert not under

@@ -32,6 +32,7 @@ from altzeta import (
     zeta_series,
     zeta_special_value,
 )
+from altzeta import zeta as zeta_module
 from altzeta.coefficients import CoefficientCache
 from altzeta.zeta import _tail_term_list
 
@@ -513,6 +514,26 @@ class TestEvaluateDispatch:
         assert tight.method in ("oracle", "shifted_asymptotic")
         assert tight.error_estimate <= coarse.error_estimate
         assert abs(tight.value - coarse.value) <= 1e-10
+
+    @pytest.mark.parametrize("policy", ["fixed:5", "fixed:40"])
+    @pytest.mark.parametrize(
+        "z,q,m",
+        [(2.5, 100.0, 0), (2.5, 100.0, 3), (complex(1, 8), 30.0, 8), (-5.0, 170.5, 2), (-2.5, 4.0, 1)],
+    )
+    def test_fixed_policy_builds_the_full_tail(self, monkeypatch, policy, z, q, m):
+        # fixed:N builds through index N + 2 whatever the term sizes: the
+        # rounding-floor stop of the optimal policy must not cut it short.
+        request, policy = EvalRequest(z, q, m), TruncationPolicy.parse(policy)
+        got = evaluate(request, policy)
+        monkeypatch.setattr(zeta_module, "_ROUNDING_STOP", 0.0)
+        want = evaluate(request, policy)
+        assert got.method == want.method
+        assert got.terms_used == want.terms_used
+        assert got.error_estimate.hex() == want.error_estimate.hex()
+        assert (got.value.real.hex(), got.value.imag.hex()) == (
+            want.value.real.hex(),
+            want.value.imag.hex(),
+        )
 
     def test_request_validation(self):
         with pytest.raises(DomainError):
