@@ -29,6 +29,10 @@ EXIT_OK = 0
 EXIT_USAGE = 1
 EXIT_ACCURACY = 2
 
+#: Most points a ``table`` grid may hold; a larger grid is refused before
+#: any value is computed.
+MAX_GRID_POINTS = 100_000
+
 CSV_HEADER = [
     "z_re",
     "z_im",
@@ -95,7 +99,11 @@ def format_complex(value: complex) -> str:
 
 
 def parse_range(text: str) -> list[float]:
-    """Parse 'start:stop:step' (inclusive grid, finite bounds) or a single number."""
+    """Parse 'start:stop:step' (inclusive grid, finite bounds) or a single number.
+
+    A grid whose step does not advance the value, or with more than
+    ``MAX_GRID_POINTS`` points, raises ``CapacityError``.
+    """
     text = text.strip()
     parts = text.split(":")
     try:
@@ -117,6 +125,10 @@ def parse_range(text: str) -> list[float]:
         v = start + k * step
         if v > stop + 1e-9 * step:
             break
+        if values and v <= values[-1]:
+            raise CapacityError(f"range step {step!r} does not advance the grid past {v!r}")
+        if len(values) == MAX_GRID_POINTS:
+            raise CapacityError(f"range {text!r} has more than {MAX_GRID_POINTS} points")
         values.append(v)
         k += 1
     if not values:
@@ -221,6 +233,10 @@ def cmd_table(args, stdout) -> int:
         parse_complex(args.z_range)
     ]
     q_values = parse_range(args.q_range)
+    if len(z_values) * len(q_values) > MAX_GRID_POINTS:
+        raise CapacityError(
+            f"table grid of {len(z_values)} x {len(q_values)} points exceeds {MAX_GRID_POINTS}"
+        )
     records = [
         _evaluate_record(z, q, args.m, args.tol, policy) for z in z_values for q in q_values
     ]

@@ -113,10 +113,12 @@ class TruncationPolicy:
     smallest nonzero term; ``fixed`` sums exactly ``fixed_n`` tail indices
     and builds the tail through index fixed_n + 2, so the first omitted
     term is seen.  The optimal scan reaches at most 2*ceil(pi*q) + 10,
-    which always covers the smallest-term index at double precision; it
-    ends earlier, at the rounding floor, once two successive nonzero terms
-    lie below 2^-60 times the magnitude sum of the order's head terms:
-    no later term can change the double result.
+    which always covers the smallest-term index at double precision.  It
+    ends earlier at the rounding floor, once two successive nonzero terms
+    lie below 2^-60 times the magnitude sum of the order's head terms (no
+    later term can change the double result), or just past the smallest
+    term, once two successive nonzero terms exceed 10 times it while the
+    weights E_k(0)/q^k grow (the terms diverge from there on).
     """
 
     mode: str = "optimal"
@@ -292,8 +294,11 @@ def _tail_term_list(
     weights: _TailWeights | None = None,
     stop_below: float = 0.0,
     k_min: int = 2,
-) -> list[complex]:
-    """Tail terms -1/2 * E_k(0) * g_layer(k) * q^(-z-k) for k = 2..k_hi.
+) -> tuple[list[complex], int]:
+    """Tail terms -1/2 * E_k(0) * g_layer(k) * q^(-z-k) for k = 2..k_hi, and
+    the list index (k - 2) of the first smallest nonzero term at k >= k_min
+    (what ``optimal_truncation_index`` finds there), or the list length if
+    there is none.
 
     The terms vanish at even k, where E_k(0) = 0.  Coefficients whose
     magnitude sits below the rounding noise of their own computation are
@@ -302,20 +307,41 @@ def _tail_term_list(
     masquerade as the smallest term of the expansion.
 
     With ``stop_below`` > 0 the list is built in chunks and ends at the
-    second of two successive nonzero terms at k >= k_min whose magnitudes
-    both lie below ``stop_below``: the caller sets that level under the
-    rounding floor of the sum, where further terms cannot change a double.
-    Otherwise, and when no such pair occurs, the list runs to k_hi.
+    second of two successive nonzero terms at k >= k_min that both lie
+
+    * below ``stop_below`` (the rounding stop): the caller sets that level
+      under the rounding floor of the sum, where later terms cannot change
+      a double; or
+    * above 10 times the smallest term so far while the weights
+      w_k = -1/2 * E_k(0)/q^k grow, |w_k| > |w_(k-2)| (the smallest-term
+      stop).  The weights grow once k exceeds about pi*q.  Before that, a
+      near-zero coefficient can make a term dip far below the terms after
+      it, which fall to the true minimum later (z = -2.9157946501335568,
+      q = 10.536338620494451, layer 5: a dip at k = 13, terms 90 times it
+      after, the minimum at k = 35); the weight gate keeps such a dip from
+      ending the list.
+
+    A dip past the stop is not seen.  At z = -33/7, q = 10.37, layer 6 the
+    full list's smallest term is at k = 59, behind terms 14 times the k = 39
+    minimum, and the stopped list ends at k = 57; ``_expansion`` builds that
+    tail (orders m >= 6) only to k = 21, where its rounding stop fires, so
+    no result changes.  At z = -1.5, q from about 10.2 to 10.6, layer 7 the
+    full list plans at k = 59 behind terms up to 84 times the k = 35 minimum,
+    where the stopped list plans: orders 7 and 8 move by about 1e-9, far
+    inside their estimates of 1e-6 and 3e-5.  Without ``stop_below``, and
+    when no stop fires, the list runs to k_hi.
     """
     if k_hi > K_MAX:
         raise CapacityError(f"tail index {k_hi} exceeds the exact table capacity {K_MAX}")
     weights = weights or _TailWeights(q)
     qmz = _power(q, -zc)
+    watch = stop_below > 0.0
     out: list[complex] = []
-    below = 0
+    best, best_mag = None, math.inf
+    below = above = 0
     start = 2
     while start <= k_hi:
-        end = min(start + _TAIL_CHUNK - 1, k_hi) if stop_below > 0.0 else k_hi
+        end = min(start + _TAIL_CHUNK - 1, k_hi) if watch else k_hi
         w = weights.upto(end)
         g_row, mag_row = cache.rows(layer, end)
         for k in range(start, end + 1):
@@ -327,33 +353,36 @@ def _tail_term_list(
                 g = 0.0
             term = w[k] * g * qmz
             out.append(term)
-            if k >= k_min and term:
-                below = below + 1 if abs(term) < stop_below else 0
-                if below == 2:
-                    return out
+            if k < k_min or not term:
+                continue
+            mag = abs(term)
+            if mag < best_mag:
+                best, best_mag = k - 2, mag
+            if watch:
+                below = below + 1 if mag < stop_below else 0
+                above = above + 1 if mag > 10.0 * best_mag and abs(w[k]) > abs(w[k - 2]) else 0
+                if below == 2 or above == 2:
+                    return out, best
         start = end + 1
-    return out
+    return out, len(out) if best is None else best
 
 
 def _plan_tail(
-    terms: list[complex], policy: TruncationPolicy, k_start: int = 2
+    terms: list[complex], policy: TruncationPolicy, best: int, split: int
 ) -> tuple[list[complex], float]:
-    """Apply the truncation policy to a precomputed term list.
+    """Apply the truncation policy to a tail term list.
 
-    ``terms[i]`` is the tail term at index k = k_start + i.  Returns the
-    kept prefix and the magnitude of the first omitted nonzero term (the
-    classical error heuristic for a divergent expansion).
+    ``terms[i]`` is the tail term at index k = i + 2, the first ``split``
+    terms are an exact block that is always kept, and ``best`` is the index
+    of the smallest nonzero term after that block, as ``_tail_term_list``
+    returns it.  Returns the kept prefix and the magnitude of the first
+    omitted nonzero term (the classical error heuristic for a divergent
+    expansion).
     """
-    if policy.mode == "fixed":
-        keep = min(max(0, policy.fixed_n - k_start + 1), len(terms))
-        kept = terms[:keep]
-        for t in terms[keep:]:
-            if abs(t) != 0.0:
-                return kept, abs(t)
-        return kept, 0.0
-    idx = optimal_truncation_index(terms)
-    omitted = abs(terms[idx]) if idx < len(terms) else 0.0
-    return terms[:idx], omitted
+    if policy.mode == "optimal":
+        return terms[:best], abs(terms[best]) if best < len(terms) else 0.0
+    keep = min(max(split, policy.fixed_n - 1), len(terms))
+    return terms[:keep], next((abs(t) for t in terms[keep:] if t), 0.0)
 
 
 def _float_floor(zc: complex, q: float, scale: float) -> float:
@@ -448,11 +477,12 @@ def _expansion(zc: complex, q: float, m: int, policy: TruncationPolicy | None) -
     whatever the policy, and for i >= 1 the block k <= n is a polynomial
     in q that is summed in full, so only the tail k > n follows the
     policy.  Under the optimal policy each tail is built only down to the
-    rounding floor (see ``_tail_term_list``); the layers and the weights
-    E_k(0)/q^k are built once and shared by every order.  Each estimate is
-    the first omitted term plus a rounding floor plus the lower-order
-    estimates carried through the binomial-log weights; terms_used is
-    cumulative.
+    rounding floor or a little past its smallest term, whichever comes
+    first, and the truncation index is found in the same pass (see
+    ``_tail_term_list``); the layers and the weights E_k(0)/q^k are built
+    once and shared by every order.  Each estimate is the first omitted
+    term plus a rounding floor plus the lower-order estimates carried
+    through the binomial-log weights; terms_used is cumulative.
     """
     policy = policy or TruncationPolicy()
     n = _as_nonpos_int(zc)
@@ -473,12 +503,11 @@ def _expansion(zc: complex, q: float, m: int, policy: TruncationPolicy | None) -
         heads.append(0.25 * cache.layer(i, 1) * qmz / q)
         heads += [-math.comb(i, j) * results[i - j].value * log_q**j for j in range(1, i + 1)]
         if i == 0 and n is not None:
-            kept, omitted = _tail_term_list(zc, q, 0, cache, n, weights), 0.0
+            kept, omitted = _tail_term_list(zc, q, 0, cache, n, weights)[0], 0.0
         else:
             stop_below = stop * sum(map(abs, heads))
-            terms = _tail_term_list(zc, q, i, cache, cap, weights, stop_below, k_min=2 + split)
-            kept, omitted = _plan_tail(terms[split:], policy, k_start=2 + split)
-            kept = terms[:split] + kept
+            terms, best = _tail_term_list(zc, q, i, cache, cap, weights, stop_below, 2 + split)
+            kept, omitted = _plan_tail(terms, policy, best, split)
         value, scale = _sum_with_scale(heads + kept)
         estimate = omitted + _float_floor(zc, q, scale + abs(value))
         for j in range(1, i + 1):

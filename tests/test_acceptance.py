@@ -198,7 +198,7 @@ def test_criterion_10_section5_adjudication():
 
 def test_criterion_11_divergence_and_optimal_truncation():
     z, q0 = complex(2.5), 10.0
-    mags = [abs(t) for t in _tail_term_list(z, q0, 0, CoefficientCache(z), 73) if abs(t) > 0]
+    mags = [abs(t) for t in _tail_term_list(z, q0, 0, CoefficientCache(z), 73)[0] if abs(t) > 0]
     low = mags.index(min(mags))
     assert 0 < low < len(mags) - 1
     assert all(mags[i + 1] < mags[i] for i in range(low))

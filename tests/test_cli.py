@@ -12,6 +12,7 @@ from altzeta.cli import (
     EXIT_ACCURACY,
     EXIT_OK,
     EXIT_USAGE,
+    MAX_GRID_POINTS,
     OutputRecord,
     build_parser,
     format_complex,
@@ -64,6 +65,25 @@ class TestParsers:
 
         with pytest.raises(DomainError):
             parse_range("1:2:0")
+
+    @pytest.mark.parametrize(
+        "text",
+        ["10:30:10", "0.5:3:0.5", "-12.9:8.4:0.1428571", "0.1:0.3:0.1", "5:5:1", "0:99999:1"],
+    )
+    def test_parse_range_grid_points(self, text):
+        # the grid is start + k * step through stop, as it always was
+        start, stop, step = map(float, text.split(":"))
+        count = math.floor((stop - start) / step + 1e-9) + 1
+        assert parse_range(text) == [start + k * step for k in range(count)]
+
+    @pytest.mark.parametrize(
+        "text", ["1:2:1e-300", "1:1:1e-300", "1e17:1e18:1", "0:1e9:1", f"0:{MAX_GRID_POINTS}:1"]
+    )
+    def test_parse_range_refuses_unbounded_grids(self, text):
+        # a step that does not advance the value, or too many points: the
+        # grid would grow until memory runs out
+        with pytest.raises(CapacityError):
+            parse_range(text)
 
 
 class TestEval:
@@ -174,6 +194,20 @@ class TestTable:
         assert len(payload["records"]) == 2
         for item in payload["records"]:
             assert OutputRecord.from_dict(item).to_dict() == item
+
+    @pytest.mark.parametrize(
+        "z_range,q_range",
+        [("1:2:1e-300", "10"), ("2.5", "0:1e9:1"), ("0:999:1", "10:110:1")],
+        ids=["step-does-not-advance", "range-too-long", "grid-too-large"],
+    )
+    def test_unbounded_grids_fail_typed(self, z_range, q_range, capsys):
+        argv = ["table", "--z-range", z_range, "--q-range", q_range]
+        args = build_parser().parse_args(argv)
+        with pytest.raises(CapacityError):
+            args.func(args, io.StringIO())
+        code, out = run_cli(*argv)
+        assert (code, out) == (EXIT_USAGE, "")
+        assert capsys.readouterr().err.startswith("error: ")
 
     def test_unwritable_path(self):
         code, _ = run_cli(

@@ -122,6 +122,25 @@ def test_rounding_stop_stays_within_estimate(monkeypatch, z, q, m):
         assert abs(stopped.value - full.value) <= stopped.error_estimate, policy.describe()
 
 
+@pytest.mark.parametrize("m", [7, 8])
+@pytest.mark.parametrize("q", [0.5, 5.3, 10.3])
+def test_late_dip_past_the_smallest_term_stop(monkeypatch, q, m):
+    # At z = -1.5 the layer-7 coefficient nearly vanishes at k = 59: the
+    # full scan plans there, behind terms up to 84 times the k = 35
+    # minimum, while the smallest-term stop ends the tail first and plans
+    # at k = 35.  Orders 7 and 8 move; the estimates bound both errors.
+    z = complex(-1.5)
+    request = EvalRequest(z, q, m, 1e-10)
+    ref = reference(z, q, m)
+    stopped = evaluate(request)
+    assert error(stopped.value, ref) <= stopped.error_estimate
+    monkeypatch.setattr(zeta, "_ROUNDING_STOP", 0.0)
+    full = evaluate(request)
+    assert full.value != stopped.value
+    assert error(full.value, ref) <= full.error_estimate
+    assert abs(stopped.value - full.value) <= stopped.error_estimate
+
+
 def _point_mix(seed: int, count: int):
     path = Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"
     spec = importlib.util.spec_from_file_location("perfbench_workloads", path)

@@ -131,9 +131,125 @@ class TestOptimalTruncation:
 
     def test_expansion_minimum_sits_near_pi_q(self):
         z, q = complex(2.5), 10.0
-        terms = _tail_term_list(z, q, 0, CoefficientCache(z), 73)
+        terms, _ = _tail_term_list(z, q, 0, CoefficientCache(z), 73)
         idx = optimal_truncation_index(terms)
         assert abs((idx + 2) - math.pi * q) <= 5.0
+
+
+def _rounding_stop_only(zc, q, layer, cache, k_hi, weights=None, stop_below=0.0, k_min=2):
+    """``_tail_term_list`` without the smallest-term stop: the full list, cut
+    at the second of two successive nonzero terms at k >= k_min below
+    ``stop_below``, its smallest term found by ``optimal_truncation_index``."""
+    terms, _ = _tail_term_list(zc, q, layer, cache, k_hi, weights)
+    split = k_min - 2
+    below = 0
+    for i in range(split, len(terms)):
+        if terms[i]:
+            below = below + 1 if abs(terms[i]) < stop_below else 0
+            if below == 2:
+                terms = terms[: i + 1]
+                break
+    return terms, split + optimal_truncation_index(terms[split:])
+
+
+def _bits(result):
+    return (
+        result.value.real.hex(),
+        result.value.imag.hex(),
+        result.error_estimate.hex(),
+        result.terms_used,
+        result.method,
+        result.note,
+    )
+
+
+class TestSmallestTermStop:
+    # Under the optimal policy a tail also ends shortly past its smallest
+    # term, once the terms rise above ten times it while the weights
+    # -1/2 * E_k(0)/q^k grow.
+
+    @staticmethod
+    def _lists(z, q, layer):
+        zc = complex(z)
+        cap = TruncationPolicy.optimal().scan_limit(q)
+        full = _tail_term_list(zc, q, layer, CoefficientCache(zc), cap)
+        stopped = _tail_term_list(zc, q, layer, CoefficientCache(zc), cap, stop_below=1e-300)
+        return full, stopped
+
+    def test_early_dip_does_not_end_the_tail(self):
+        # Layer 5 dips at k = 13, the terms after it rise about 90 times, and
+        # they fall to the true minimum at k = 35; a stop without the weight
+        # gate ends this tail at k = 17 and plans at k = 13.
+        (full, full_best), (terms, best) = self._lists(-2.9157946501335568, 10.536338620494451, 5)
+        assert full_best == optimal_truncation_index(full) == 35 - 2
+        assert abs(full[13 - 2]) < abs(full[17 - 2]) / 10
+        assert best == optimal_truncation_index(terms) == full_best
+        assert terms == full[: len(terms)]
+        assert len(terms) < len(full)
+
+    @pytest.mark.parametrize(
+        "z,q,layer,end,best_k,ratio",
+        [(-33 / 7, 10.37, 6, 57, 39, 14.0), (-1.5, 10.3, 7, 51, 35, 80.0)],
+        ids=["-33/7", "-1.5"],
+    )
+    def test_late_dip_past_the_stop(self, z, q, layer, end, best_k, ratio):
+        # A near-zero coefficient at k = 59 puts the full list's smallest
+        # term behind terms many times the true minimum; the stop ends the
+        # list before it and plans at that minimum.
+        (full, full_best), (terms, best) = self._lists(z, q, layer)
+        assert full_best == optimal_truncation_index(full) == 59 - 2
+        assert len(terms) == end - 1
+        assert best == optimal_truncation_index(terms) == best_k - 2
+        assert max(map(abs, full[best + 1 : full_best])) > ratio * abs(full[best])
+
+    def test_late_dip_does_not_reach_evaluate_at_z_minus_33_over_7(self, monkeypatch):
+        # The rounding stop ends this layer-6 tail at k = 21, with or
+        # without the smallest-term stop, so the results agree bit for bit.
+        # (At z = -1.5 the late dip does reach evaluate: test_reference.py.)
+        requests = [EvalRequest(-33 / 7, 10.37, m, 1e-10) for m in (6, 7, 8)]
+        got = [_bits(evaluate(r)) for r in requests]
+        monkeypatch.setattr(zeta_module, "_tail_term_list", _rounding_stop_only)
+        assert got == [_bits(evaluate(r)) for r in requests]
+
+    @pytest.mark.parametrize(
+        "z",
+        [2.5, -2.9157946501335568, -33 / 7, -7.5, complex(1, 8), complex(-1.5, 14), -3.0],
+        ids=["2.5", "seed3", "-33/7", "-7.5", "1+8i", "-1.5+14i", "-3"],
+    )
+    def test_bit_identical_to_the_rounding_stop_alone(self, monkeypatch, z):
+        # The stop ends a tail only past its smallest term, so no result
+        # changes: shifted requests, requests at the regime threshold and
+        # above it, every third order, two tolerances.
+        threshold = regime_threshold(z)
+        requests = [
+            EvalRequest(z, q, m, tol)
+            for q in (4.536338620494451, threshold, threshold + 0.37, 3.0 * threshold)
+            for m in (0, 2, 5, 7, 8)
+            for tol in (1e-8, 1e-12)
+        ]
+        got = [_bits(evaluate(r)) for r in requests]
+        monkeypatch.setattr(zeta_module, "_tail_term_list", _rounding_stop_only)
+        assert got == [_bits(evaluate(r)) for r in requests]
+
+    def test_stops_off_builds_every_tail_to_its_cap(self, monkeypatch):
+        # With the rounding-stop level at zero neither stop fires, so the
+        # tests that switch it off compare against a true full scan.
+        request = EvalRequest(-2.9157946501335568, 4.536338620494451, 7, 1e-10)
+        lengths = []
+
+        def spy(zc, q, layer, cache, k_hi, *args, **kwargs):
+            terms, best = _tail_term_list(zc, q, layer, cache, k_hi, *args, **kwargs)
+            lengths.append((len(terms), k_hi - 1))
+            return terms, best
+
+        monkeypatch.setattr(zeta_module, "_tail_term_list", spy)
+        stopped = evaluate(request)
+        assert any(n < cap for n, cap in lengths)
+        lengths.clear()
+        monkeypatch.setattr(zeta_module, "_ROUNDING_STOP", 0.0)
+        full = evaluate(request)
+        assert len(lengths) == 8 and all(n == cap for n, cap in lengths)
+        assert full.terms_used > stopped.terms_used
 
 
 class TestAsymptotic:
@@ -168,7 +284,7 @@ class TestAsymptotic:
     def test_divergence_profile(self):
         # magnitudes fall to a minimum near pi*q and grow afterwards
         z, q = complex(2.5), 10.0
-        mags = [abs(t) for t in _tail_term_list(z, q, 0, CoefficientCache(z), 73) if abs(t) > 0]
+        mags = [abs(t) for t in _tail_term_list(z, q, 0, CoefficientCache(z), 73)[0] if abs(t) > 0]
         low = mags.index(min(mags))
         assert all(mags[i + 1] < mags[i] for i in range(low))
         assert all(mags[i + 1] > mags[i] for i in range(low, len(mags) - 1))
@@ -400,7 +516,7 @@ class TestExplicitNegativeInteger:
         from altzeta.zeta import _tail_term_list
 
         assert expansion_coefficient_at_neg_int(7, 2, 3) == 0
-        terms = _tail_term_list(complex(-3.0), 10.0, 2, CoefficientCache(complex(-3.0)), 15)
+        terms, _ = _tail_term_list(complex(-3.0), 10.0, 2, CoefficientCache(complex(-3.0)), 15)
         assert terms[5] == 0  # k = 7
 
         # reference built from exact rational coefficients, truncated at
