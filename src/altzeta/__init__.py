@@ -1,15 +1,6 @@
 """Alternating Hurwitz zeta function: large-q expansions, an accelerated
 series oracle, exact Euler-polynomial machinery, and Boole summation."""
 
-from .boole import (
-    BooleReport,
-    SmoothFunction,
-    boole_remainder,
-    boole_sum,
-    delta_expansion_value,
-    polynomial_function,
-    power_function,
-)
 from .coefficients import (
     CoefficientCache,
     alternating_binomial_partial_sum,
@@ -53,6 +44,29 @@ from .zeta import (
 )
 
 __version__ = "0.1.0"
+
+#: Names of the Boole-summation engine, resolved on first access so that
+#: importing the package (and the CLI's eval and table paths) leaves
+#: altzeta.boole unloaded.
+_BOOLE_NAMES = frozenset(
+    {
+        "BooleReport",
+        "SmoothFunction",
+        "boole_remainder",
+        "boole_sum",
+        "delta_expansion_value",
+        "polynomial_function",
+        "power_function",
+    }
+)
+
+
+def __getattr__(name):
+    if name in _BOOLE_NAMES:
+        from . import boole
+
+        return getattr(boole, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 __all__ = [
     "AccuracyError",

@@ -25,7 +25,7 @@ floating point otherwise.
 from __future__ import annotations
 
 import math
-from fractions import Fraction
+import sys
 
 from .errors import CapacityError, DomainError
 from .euler import euler_number_at_zero
@@ -87,8 +87,18 @@ class CoefficientCache:
 
     def __init__(self, z):
         self.z = z
-        self.exact = isinstance(z, (int, Fraction))
-        one = Fraction(1) if self.exact else complex(z) * 0 + (1.0 + 0.0j)
+        # A Fraction can exist only once its module is loaded, so the test
+        # needs no import of its own.
+        fractions = sys.modules.get("fractions")
+        self.exact = isinstance(z, int) or (
+            fractions is not None and isinstance(z, fractions.Fraction)
+        )
+        if self.exact:
+            from fractions import Fraction
+
+            one = Fraction(1)
+        else:
+            one = complex(z) * 0 + (1.0 + 0.0j)
         self._layers: list[list] = [[one]]
         self._mag_layers: list[list[float]] | None = None if self.exact else [[1.0]]
         self._shifts: list = []  # z + t
@@ -152,6 +162,8 @@ def _neg_int_inner_layer(n: int, m: int, k: int) -> Fraction:
     the recurrence, this is an independent exact check on
     :class:`CoefficientCache`.
     """
+    from fractions import Fraction
+
     h = [Fraction(0)] * (k + 1)
     for j in range(1, k + 1):
         acc = Fraction(0)
@@ -176,6 +188,8 @@ def expansion_coefficient_at_neg_int(k: int, m: int, n: int) -> Fraction:
     the result equals :func:`expansion_coefficient` evaluated at z = -n.
     Requires m >= 1.
     """
+    from fractions import Fraction
+
     if k < 2:
         raise DomainError(f"tail index starts at k=2, got {k}")
     if m < 1:
@@ -193,6 +207,8 @@ def alternating_binomial_sum(n: int, k: int) -> Fraction:
 
     Equals (-1)^n * n! / (k (k-1) ... (k-n)) in closed form.
     """
+    from fractions import Fraction
+
     if n < 0:
         raise DomainError(f"n must be non-negative, got {n}")
     if k <= n:
@@ -210,6 +226,8 @@ def alternating_binomial_partial_sum(n: int, k: int) -> Fraction:
     k <= n it is the partial sum that appears in the finite block of the
     negative-integer expansions.
     """
+    from fractions import Fraction
+
     if n < 0 or k < 1:
         raise DomainError(f"need n >= 0 and k >= 1, got n={n}, k={k}")
     total = Fraction(0)

@@ -8,16 +8,18 @@ Taylor coefficients of tan, times k!) up to sign and a power of two:
     E_0(0) = 1,   E_(2j-1)(0) = (-1)^j * T_(2j-1) / 2^(2j-1),
     E_k(0) = 0    for even k >= 2.
 
-The table is built once, on first use, from the integer tangent-number
-recurrence of Knuth and Buckholtz (Math. Comp. 21 (1967), 663-688), so no
-rational arithmetic enters its construction.  Floating point enters only
-at evaluation time, through a single rounding of the exact values.
+The table holds the integer numerators a_k = 2^k * E_k(0), which are the
+signed tangent numbers.  It is built from the integer tangent-number
+recurrence of Knuth and Buckholtz (Math. Comp. 21 (1967), 663-688) only as
+far as the largest index asked for so far, so no rational arithmetic
+enters its construction.  Floating point enters only at evaluation time,
+through a single correctly rounded integer division; ``Fraction`` objects
+are formed only by the exact public functions.
 """
 
 from __future__ import annotations
 
 import math
-from fractions import Fraction
 from functools import lru_cache
 
 from .errors import CapacityError, DomainError
@@ -26,49 +28,77 @@ from .errors import CapacityError, DomainError
 #: large-q expansions never reaches beyond this at double precision.
 K_MAX = 256
 
+#: a_0, a_1, ... with E_k(0) = a_k / 2^k, through a power of two (at least
+#: 64, at most K_MAX); grown by ``_numerators``.
+_table: tuple[int, ...] = ()
 
-@lru_cache(maxsize=1)
-def _euler_number_table() -> tuple[Fraction, ...]:
-    """E_k(0) for k = 0..K_MAX, exact and immutable once built.
 
-    t[j] runs through the tangent numbers T_(2j-1), j = 1..K_MAX/2, by the
+def _numerators(k: int) -> tuple[int, ...]:
+    """The numerator table through index k at least (k <= K_MAX).
+
+    When k is past its end, the table is rebuilt through the next power of
+    two.  t[j] runs through the tangent numbers T_(2j-1) by the
     Knuth-Buckholtz recurrence: seed t[j] = (j-1)*t[j-1] (the factorials),
     then for k = 2, 3, ... sweep t[j] = (j-k)*t[j-1] + (j-k+2)*t[j] over
-    j >= k.  All arithmetic is on integers.
+    j >= k.  A sweep never changes t[j] for j < k, so a longer build
+    extends a shorter one entry for entry.
     """
-    half = K_MAX // 2
+    global _table
+    if k < len(_table):
+        return _table
+    top = min(max(64, 1 << (k - 1).bit_length()), K_MAX)
+    half = top // 2
     t = [0, 1] + [0] * (half - 1)
-    for k in range(2, half + 1):
-        t[k] = (k - 1) * t[k - 1]
-    for k in range(2, half + 1):
-        for j in range(k, half + 1):
-            t[j] = (j - k) * t[j - 1] + (j - k + 2) * t[j]
-    values = [Fraction(0)] * (K_MAX + 1)
-    values[0] = Fraction(1)
+    for i in range(2, half + 1):
+        t[i] = (i - 1) * t[i - 1]
+    for i in range(2, half + 1):
+        for j in range(i, half + 1):
+            t[j] = (j - i) * t[j - 1] + (j - i + 2) * t[j]
+    values = [0] * (top + 1)
+    values[0] = 1
     for j in range(1, half + 1):
-        values[2 * j - 1] = Fraction((-1) ** j * t[j], 1 << (2 * j - 1))
-    return tuple(values)
+        values[2 * j - 1] = -t[j] if j % 2 else t[j]
+    _table = tuple(values)
+    return _table
+
+
+def _check_index(k: int, name: str = "k") -> None:
+    if k < 0:
+        raise DomainError(f"{name} must be non-negative, got {k}")
+    if k > K_MAX:
+        raise CapacityError(f"{name}={k} exceeds the exact table capacity K_MAX={K_MAX}")
 
 
 def euler_number_at_zero(k: int) -> Fraction:
     """Exact E_k(0): 1, -1/2, 0, 1/4, 0, -1/2, ... (zero for even k >= 2)."""
-    if k < 0:
-        raise DomainError(f"index must be non-negative, got {k}")
-    if k > K_MAX:
-        raise CapacityError(f"k={k} exceeds the exact table capacity K_MAX={K_MAX}")
-    return _euler_number_table()[k]
+    from fractions import Fraction
+
+    _check_index(k)
+    return Fraction(_numerators(k)[k], 1 << k)
 
 
 @lru_cache(maxsize=None)
 def euler_number_over_factorial(k: int) -> float:
-    """float(E_k(0) / k!).
+    """float(E_k(0) / k!) = a_k / (2^k * k!).
 
     This ratio decays like 4/pi^(k+1), so it stays representable for every
     k <= K_MAX even where E_k(0) itself overflows a double.  Integer true
     division is correctly rounded, so no Fraction is formed.
     """
-    e = euler_number_at_zero(k)
-    return e.numerator / (e.denominator * math.factorial(k))
+    _check_index(k)
+    return _numerators(k)[k] / ((1 << k) * math.factorial(k))
+
+
+@lru_cache(maxsize=None)
+def _scaled_polynomial_coefficients(n: int) -> tuple[int, ...]:
+    """Integer coefficients of 2^n * E_n(q), ascending powers of q.
+
+    E_n(q) = sum_{k=0}^{n} C(n, k) * E_k(0) * q^(n-k), so the coefficient
+    of q^i is C(n, i) * a_(n-i) * 2^i.
+    """
+    _check_index(n, "n")
+    a = _numerators(n)
+    return tuple(math.comb(n, i) * a[n - i] << i for i in range(n + 1))
 
 
 @lru_cache(maxsize=None)
@@ -78,21 +108,20 @@ def euler_polynomial_coefficients(n: int) -> tuple[Fraction, ...]:
     E_n(q) = sum_{k=0}^{n} C(n, k) * E_k(0) * q^(n-k); the leading
     coefficient is 1 and the constant term is E_n(0).
     """
-    if n < 0:
-        raise DomainError(f"degree must be non-negative, got {n}")
-    if n > K_MAX:
-        raise CapacityError(f"n={n} exceeds the exact table capacity K_MAX={K_MAX}")
-    coeffs = [Fraction(0)] * (n + 1)
-    for k in range(n + 1):
-        coeffs[n - k] += math.comb(n, k) * euler_number_at_zero(k)
-    return tuple(coeffs)
+    from fractions import Fraction
+
+    return tuple(Fraction(c, 1 << n) for c in _scaled_polynomial_coefficients(n))
 
 
 @lru_cache(maxsize=None)
 def _euler_polynomial_float_coefficients(n: int) -> tuple[float, ...]:
-    # Exact coefficients are rounded here exactly once; evaluation is then a
-    # plain Horner recurrence, keeping results reproducible.
-    return tuple(float(c) for c in euler_polynomial_coefficients(n))
+    # Exact coefficients are rounded here exactly once (a correctly rounded
+    # integer division); evaluation is then a plain Horner recurrence,
+    # keeping results reproducible.
+    try:
+        return tuple(c / (1 << n) for c in _scaled_polynomial_coefficients(n))
+    except OverflowError:
+        raise CapacityError(f"the coefficients of E_{n}(q) overflow double precision") from None
 
 
 def euler_polynomial(n: int, q: float) -> float:

@@ -33,8 +33,7 @@ from __future__ import annotations
 import cmath
 import math
 import os
-from dataclasses import dataclass, replace
-from fractions import Fraction
+from collections import namedtuple
 
 from .coefficients import CoefficientCache, alternating_binomial_partial_sum
 from .errors import AccuracyError, CapacityError, DomainError
@@ -76,21 +75,23 @@ _TAIL_CHUNK = 16
 # Result and request types
 
 
-@dataclass(frozen=True)
-class EvalResult:
-    """Value plus accuracy metadata returned by every evaluator."""
+class EvalResult(namedtuple("EvalResult", "value error_estimate terms_used method note")):
+    """Value plus accuracy metadata returned by every evaluator: an
+    immutable named tuple (value, error_estimate, terms_used, method,
+    note)."""
 
-    value: complex
-    error_estimate: float
-    terms_used: int
-    method: str
-    note: str | None = None
+    __slots__ = ()
 
-    def __post_init__(self):
-        if self.error_estimate < 0:
+    def __new__(cls, value, error_estimate, terms_used, method, note=None):
+        if error_estimate < 0:
             raise DomainError("error estimate must be non-negative")
-        if self.terms_used < 0:
+        if terms_used < 0:
             raise DomainError("terms_used must be non-negative")
+        return super().__new__(cls, value, error_estimate, terms_used, method, note)
+
+    @classmethod
+    def _make(cls, iterable):  # _replace builds through here, so it validates too
+        return cls(*iterable)
 
     def to_json_dict(self) -> dict:
         out = {
@@ -105,8 +106,7 @@ class EvalResult:
         return out
 
 
-@dataclass(frozen=True)
-class TruncationPolicy:
+class TruncationPolicy(namedtuple("TruncationPolicy", "mode fixed_n")):
     """How to cut off a divergent expansion.
 
     ``optimal`` scans ascending term magnitudes and stops just before the
@@ -121,15 +121,19 @@ class TruncationPolicy:
     weights E_k(0)/q^k grow (the terms diverge from there on).
     """
 
-    mode: str = "optimal"
-    fixed_n: int | None = None
+    __slots__ = ()
 
-    def __post_init__(self):
-        if self.mode not in ("optimal", "fixed"):
-            raise DomainError(f"unknown truncation mode {self.mode!r}")
-        if self.mode == "fixed":
-            if self.fixed_n is None or self.fixed_n < 0:
+    def __new__(cls, mode="optimal", fixed_n=None):
+        if mode not in ("optimal", "fixed"):
+            raise DomainError(f"unknown truncation mode {mode!r}")
+        if mode == "fixed":
+            if fixed_n is None or fixed_n < 0:
                 raise DomainError("fixed truncation needs fixed_n >= 0")
+        return super().__new__(cls, mode, fixed_n)
+
+    @classmethod
+    def _make(cls, iterable):  # _replace builds through here, so it validates too
+        return cls(*iterable)
 
     @classmethod
     def optimal(cls) -> "TruncationPolicy":
@@ -171,22 +175,23 @@ class TruncationPolicy:
         return max(hi, 3)
 
 
-@dataclass(frozen=True)
-class EvalRequest:
+class EvalRequest(namedtuple("EvalRequest", "z q m target_accuracy")):
     """One evaluation: point (z, q), derivative order m, target accuracy."""
 
-    z: complex
-    q: float
-    m: int = 0
-    target_accuracy: float = 1e-12
+    __slots__ = ()
 
-    def __post_init__(self):
-        if not cmath.isfinite(complex(self.z)):
-            raise DomainError(f"z must be finite, got {self.z}")
-        _check_q(self.q)
-        _check_order(self.m)
-        if not self.target_accuracy > 0:
+    def __new__(cls, z, q, m=0, target_accuracy=1e-12):
+        if not cmath.isfinite(complex(z)):
+            raise DomainError(f"z must be finite, got {z}")
+        _check_q(q)
+        _check_order(m)
+        if not target_accuracy > 0:
             raise DomainError("target accuracy must be positive")
+        return super().__new__(cls, z, q, m, target_accuracy)
+
+    @classmethod
+    def _make(cls, iterable):  # _replace builds through here, so it validates too
+        return cls(*iterable)
 
 
 # ---------------------------------------------------------------------------
@@ -528,7 +533,7 @@ def _direct(zc: complex, q: float, m: int, policy: TruncationPolicy | None) -> E
     if cmath.isfinite(result.value):
         return result
     note = "accuracy warning: non-finite value; estimate inf"
-    return replace(result, error_estimate=math.inf, note=note)
+    return result._replace(error_estimate=math.inf, note=note)
 
 
 def zeta_asymptotic(z, q: float, policy: TruncationPolicy | None = None) -> EvalResult:
@@ -574,6 +579,8 @@ def zeta_special_value(n: int, q: float) -> EvalResult:
 def deriv1_neg_int_constant_term(n: int) -> Fraction:
     """Exact log-free constant in the explicit expansion of the first
     derivative at z = -n (for n = 3 this is -11/48)."""
+    from fractions import Fraction
+
     if n < 0:
         raise DomainError(f"n must be non-negative, got {n}")
     if n == 0:
@@ -602,7 +609,7 @@ def deriv1_at_neg_int(n: int, q: float, policy: TruncationPolicy | None = None) 
     only part subject to the truncation policy).
     """
     _check_neg_int(n, q)
-    return replace(_direct(complex(-n), q, 1, policy), method=METHOD_NEG_INT)
+    return _direct(complex(-n), q, 1, policy)._replace(method=METHOD_NEG_INT)
 
 
 def deriv2_at_neg_int(n: int, q: float, policy: TruncationPolicy | None = None) -> EvalResult:
@@ -613,7 +620,7 @@ def deriv2_at_neg_int(n: int, q: float, policy: TruncationPolicy | None = None) 
     sum_k E_k(0) [log(q)/k - H_(k-1)/k] q^(-k).
     """
     _check_neg_int(n, q)
-    return replace(_direct(complex(-n), q, 2, policy), method=METHOD_NEG_INT)
+    return _direct(complex(-n), q, 2, policy)._replace(method=METHOD_NEG_INT)
 
 
 # ---------------------------------------------------------------------------
@@ -672,8 +679,7 @@ def evaluate(request: EvalRequest, policy: TruncationPolicy | None = None) -> Ev
     # The error of a non-finite value is unbounded, and NaN passes no test.
     estimate = result.error_estimate if cmath.isfinite(result.value) else math.inf
     if not estimate <= tol:
-        result = replace(
-            result,
+        result = result._replace(
             error_estimate=estimate,
             note=f"accuracy warning: target {tol:g} not met; estimate {estimate:.3e}",
         )

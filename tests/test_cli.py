@@ -3,10 +3,21 @@
 import io
 import json
 import math
+import os
+import subprocess
+import sys
 
 import pytest
 
-from altzeta import CapacityError, DomainError, EvalRequest, deriv1_at_neg_int, evaluate
+import altzeta
+from altzeta import (
+    CapacityError,
+    DomainError,
+    EvalRequest,
+    EvalResult,
+    deriv1_at_neg_int,
+    evaluate,
+)
 from altzeta.cli import (
     CSV_HEADER,
     EXIT_ACCURACY,
@@ -347,3 +358,89 @@ def test_bad_inputs_fail_typed_or_flagged(z, q, m, error, exit_code):
             request()
     code, _ = run_cli("eval", f"--z={z}", "--q", repr(q), "--m", str(m))
     assert code == exit_code
+
+
+class TestOutputRecord:
+    RESULT = EvalResult(0.5 + 0j, 1e-16, 0, "special_value")
+
+    def _record(self, **changes):
+        fields = dict(
+            z=0j, q=3.0, m=0, policy="optimal", tol=1e-10, result=self.RESULT, timestamp="t"
+        )
+        fields.update(changes)
+        return OutputRecord(**fields)
+
+    def test_positional_and_keyword_construction(self):
+        record = self._record()
+        assert OutputRecord(0j, 3.0, 0, "optimal", 1e-10, self.RESULT, "t") == record
+        assert OutputRecord._fields == ("z", "q", "m", "policy", "tol", "result", "timestamp")
+        with pytest.raises(TypeError):
+            OutputRecord(0j, 3.0)  # no field has a default
+
+    def test_immutable_hashable_replaceable(self):
+        record = self._record()
+        with pytest.raises(AttributeError):
+            record.q = 4.0
+        with pytest.raises(AttributeError):
+            record.extra = 1
+        assert hash(record) == hash(self._record())
+        assert record._replace(q=4.0) == self._record(q=4.0)
+        assert record._replace(q=4.0).to_dict()["q"] == 4.0
+        assert OutputRecord.from_dict(record.to_dict()) == record
+
+
+LEAN_SCRIPT = r"""
+import io, json, sys
+
+heavy = ("dataclasses", "inspect", "fractions", "decimal", "altzeta.boole", "altzeta.verify")
+at_startup = set(json.loads(sys.argv[1]))
+import altzeta.cli
+
+out = io.StringIO()
+codes = [
+    altzeta.cli.main(["eval", "--z=2.5+1i", "--q", "30"], stdout=out),
+    altzeta.cli.main(["table", "--z-range", "0.5:1:0.5", "--q-range", "10", "--m", "2"], stdout=out),
+]
+loaded = [m for m in heavy if m in sys.modules and m not in at_startup]
+
+from altzeta.coefficients import CoefficientCache
+
+exact = str(CoefficientCache(3).layer(1, 2))  # exact mode before fractions is loaded
+import altzeta
+
+scope = {}
+exec("from altzeta import *", scope)
+unbound = [name for name in altzeta.__all__ if name not in scope]
+import altzeta.boole
+
+same = altzeta.boole_sum is altzeta.boole.boole_sum
+print(json.dumps({"codes": codes, "loaded": loaded, "exact": exact, "unbound": unbound, "same": same}))
+"""
+
+
+def _run_python(*args):
+    """Run a fresh interpreter that imports altzeta from this checkout."""
+    src = os.path.dirname(os.path.dirname(os.path.abspath(altzeta.__file__)))
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
+    return subprocess.run(
+        [sys.executable, *args], capture_output=True, text=True, env=env, timeout=120
+    )
+
+
+def test_eval_and_table_load_only_the_expansion_engine():
+    # Modules a bare interpreter already holds (site hooks preload some in
+    # certain environments) do not count against the CLI.
+    startup = _run_python("-c", "import json, sys; print(json.dumps(sorted(sys.modules)))")
+    proc = _run_python("-c", LEAN_SCRIPT, startup.stdout.strip())
+    assert proc.returncode == 0, proc.stderr
+    report = json.loads(proc.stdout)
+    assert report["codes"] == [EXIT_OK, EXIT_OK]
+    assert report["loaded"] == []
+    assert report["exact"] == "7/2"  # d/dz (z)_2 / 2! = (2z + 1)/2 at z = 3
+    assert report["unbound"] == []
+    assert report["same"] is True
+    bogus = _run_python("-m", "altzeta.cli", "verify", "--suite", "bogus")
+    assert bogus.returncode == EXIT_USAGE
+    assert "Traceback" not in bogus.stderr
+    assert "unknown suite 'bogus'" in bogus.stderr

@@ -1,5 +1,6 @@
 """Tests for the exact Euler-number and Euler-polynomial machinery."""
 
+import io
 import math
 from fractions import Fraction
 from functools import lru_cache
@@ -9,14 +10,19 @@ import pytest
 from altzeta import (
     CapacityError,
     DomainError,
+    EvalRequest,
     K_MAX,
     euler_number_at_zero,
     euler_polynomial,
     euler_polynomial_coefficients,
+    evaluate,
     fourier_partial_sum,
     quasi_periodic_euler,
+    zeta_special_value,
 )
-from altzeta.euler import euler_number_over_factorial
+from altzeta import euler
+from altzeta.cli import EXIT_USAGE, main
+from altzeta.euler import _euler_polynomial_float_coefficients, euler_number_over_factorial
 
 
 def _poly_exact(n, q):
@@ -106,6 +112,84 @@ class TestEulerNumberAtZero:
             euler_number_over_factorial(K_MAX + 1)
         with pytest.raises(DomainError):
             euler_number_over_factorial(-1)
+
+
+@pytest.fixture
+def empty_table(monkeypatch):
+    """An empty numerator table and cold caches over it; the full table
+    comes back after the test (cached values are equal either way)."""
+    monkeypatch.setattr(euler, "_table", ())
+    for cached in (
+        euler_number_over_factorial,
+        euler._scaled_polynomial_coefficients,
+        euler_polynomial_coefficients,
+        _euler_polynomial_float_coefficients,
+    ):
+        cached.cache_clear()
+
+
+class TestTableGrowth:
+    def test_grows_by_powers_of_two_to_the_full_build(self, empty_table, monkeypatch):
+        full = euler._numerators(K_MAX)
+        assert len(full) == K_MAX + 1
+        monkeypatch.setattr(euler, "_table", ())
+        for k, size in ((5, 65), (100, 129), (256, 257)):
+            table = euler._numerators(k)
+            assert len(table) == size
+            assert table == full[:size]
+        assert euler._numerators(3) is table  # no rebuild below the end
+
+    def test_numerators_are_the_exact_values_times_two_to_the_k(self, empty_table):
+        oracle = numbers_by_reflection()
+        for k in range(K_MAX + 1):
+            assert euler._numerators(k)[k] == oracle[k] * 2**k, k
+
+    def test_one_evaluate_builds_only_what_it_reads(self, empty_table):
+        evaluate(EvalRequest(2.5 + 1j, 30.0))
+        assert 0 < len(euler._table) < K_MAX + 1
+
+    def test_polynomial_coefficients_match_the_oracle_convolution(self, empty_table):
+        oracle = numbers_by_reflection()
+        for n in range(K_MAX + 1):
+            want = [Fraction(0)] * (n + 1)
+            for k in range(n + 1):
+                want[n - k] += math.comb(n, k) * oracle[k]
+            assert euler_polynomial_coefficients(n) == tuple(want), n
+            try:
+                floats = [float(c) for c in want]
+            except OverflowError:
+                with pytest.raises(CapacityError):
+                    _euler_polynomial_float_coefficients(n)
+                continue
+            got = _euler_polynomial_float_coefficients(n)
+            assert [c.hex() for c in got] == [c.hex() for c in floats], n
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda n: euler_polynomial(n, 0.5),
+        lambda n: quasi_periodic_euler(n, 2.25),
+        lambda n: zeta_special_value(n, 0.5),
+    ],
+    ids=["euler_polynomial", "quasi_periodic_euler", "zeta_special_value"],
+)
+def test_polynomial_entry_points_fail_typed(call):
+    # rounding the coefficients of E_n to doubles overflows from n = 218 on;
+    # that is a CapacityError, never a bare OverflowError
+    failed = []
+    for n in range(K_MAX + 1):
+        try:
+            call(n)
+        except CapacityError:
+            failed.append(n)
+    assert failed == list(range(218, K_MAX + 1))
+
+
+def test_polynomial_overflow_keeps_evaluate_and_cli_behaviour():
+    with pytest.raises(CapacityError):
+        evaluate(EvalRequest(-220.0, 0.5))
+    assert main(["eval", "--z=-220", "--q", "0.5"], stdout=io.StringIO()) == EXIT_USAGE
 
 
 class TestEulerPolynomial:

@@ -836,3 +836,82 @@ def test_direct_expansion_failures_are_flagged_or_typed(call, error):
     assert not cmath.isfinite(result.value)
     assert result.error_estimate == math.inf
     assert result.note is not None and "accuracy warning" in result.note
+
+
+class TestRecords:
+    """EvalResult, EvalRequest and TruncationPolicy are immutable named
+    tuples that validate on construction and on _replace."""
+
+    def test_eval_result_construction_and_default(self):
+        positional = EvalResult(1 + 2j, 0.5, 3, "asymptotic")
+        keyword = EvalResult(value=1 + 2j, error_estimate=0.5, terms_used=3, method="asymptotic")
+        assert positional == keyword
+        assert positional.note is None
+        assert EvalResult._fields == ("value", "error_estimate", "terms_used", "method", "note")
+        noted = EvalResult(1j, 0.0, 0, "oracle", "flagged")
+        assert (noted.value, noted.note) == (1j, "flagged")
+
+    def test_eval_request_construction_and_defaults(self):
+        request = EvalRequest(2.5 + 1j, 30.0)
+        assert (request.m, request.target_accuracy) == (0, 1e-12)
+        assert request == EvalRequest(z=2.5 + 1j, q=30.0, m=0, target_accuracy=1e-12)
+        assert EvalRequest(1.0, 2.0, 3, 1e-8) == EvalRequest(q=2.0, z=1.0, target_accuracy=1e-8, m=3)
+        assert EvalRequest._fields == ("z", "q", "m", "target_accuracy")
+
+    def test_truncation_policy_construction_and_defaults(self):
+        assert TruncationPolicy() == TruncationPolicy("optimal", None) == TruncationPolicy.optimal()
+        assert TruncationPolicy.fixed(7) == TruncationPolicy(mode="fixed", fixed_n=7)
+        assert TruncationPolicy.parse("fixed:7").fixed_n == 7
+        assert TruncationPolicy._fields == ("mode", "fixed_n")
+
+    @pytest.mark.parametrize(
+        "record",
+        [
+            EvalResult(1j, 0.5, 3, "asymptotic"),
+            EvalRequest(2.5, 30.0, 2),
+            TruncationPolicy.fixed(4),
+        ],
+        ids=["EvalResult", "EvalRequest", "TruncationPolicy"],
+    )
+    def test_immutable_hashable_replaceable(self, record):
+        field = record._fields[0]
+        with pytest.raises(AttributeError):
+            setattr(record, field, record[0])
+        with pytest.raises(AttributeError):
+            record.extra = 1  # no instance dict
+        twin = type(record)(*record)
+        assert twin == record and hash(twin) == hash(record)
+        assert record == tuple(record)  # a tuple subclass: equal to a plain tuple
+        assert {record: 1}[twin] == 1
+        assert record._replace() == record
+        assert type(record._replace()) is type(record)
+
+    def test_replace_changes_one_field(self):
+        result = EvalResult(1j, 0.5, 3, "asymptotic")
+        flagged = result._replace(error_estimate=math.inf, note="warning")
+        assert flagged == EvalResult(1j, math.inf, 3, "asymptotic", "warning")
+        assert result.note is None
+        assert EvalRequest(2.5, 30.0)._replace(m=4).m == 4
+        assert TruncationPolicy.fixed(4)._replace(fixed_n=9).describe() == "fixed:9"
+
+    @pytest.mark.parametrize(
+        "build,error",
+        [
+            (lambda: EvalResult(1j, -1.0, 0, "oracle"), DomainError),
+            (lambda: EvalResult(1j, 0.0, -1, "oracle"), DomainError),
+            (lambda: EvalResult(1j, 0.0, 0, "oracle")._replace(error_estimate=-1.0), DomainError),
+            (lambda: EvalRequest(math.nan, 1.0), DomainError),
+            (lambda: EvalRequest(1.0, 0.0), DomainError),
+            (lambda: EvalRequest(1.0, 1.0, 1.5), DomainError),
+            (lambda: EvalRequest(1.0, 1.0, 9), CapacityError),
+            (lambda: EvalRequest(1.0, 1.0, 0, 0.0), DomainError),
+            (lambda: EvalRequest(1.0, 1.0)._replace(q=-1.0), DomainError),
+            (lambda: TruncationPolicy("bogus"), DomainError),
+            (lambda: TruncationPolicy("fixed"), DomainError),
+            (lambda: TruncationPolicy(mode="fixed", fixed_n=-1), DomainError),
+            (lambda: TruncationPolicy.fixed(3)._replace(fixed_n=None), DomainError),
+        ],
+    )
+    def test_validation_errors(self, build, error):
+        with pytest.raises(error):
+            build()
