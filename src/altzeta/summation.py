@@ -11,7 +11,15 @@ from __future__ import annotations
 import math
 
 
+def _fsum(values: list[float]) -> float:
+    try:
+        return math.fsum(values)
+    except ValueError:  # inf - inf: NaN, as plain addition gives
+        return math.nan
+
+
 def complex_fsum(parts) -> complex:
-    """Correctly rounded sum of complex values, component by component."""
+    """Correctly rounded sum of complex values, component by component; a
+    component whose parts hold both infinities is NaN."""
     parts = list(parts)  # read twice, so a generator must be materialised
-    return complex(math.fsum([p.real for p in parts]), math.fsum([p.imag for p in parts]))
+    return complex(_fsum([p.real for p in parts]), _fsum([p.imag for p in parts]))

@@ -9,16 +9,17 @@ against each other:
   Cohen-Rodriguez Villegas-Zagier Chebyshev scheme; convergent for
   Re(z) > 0 and usable (flagged) as an empirical continuation elsewhere.
 * ``zeta_asymptotic`` / ``deriv1_asymptotic`` / ``deriv_m_asymptotic``:
-  entry points to one pass over the divergent large-q expansions of orders
-  0..m, with fixed-length or smallest-term truncation.  Order i is the
-  Boole-summation expansion with tail coefficients E_k(0) g_i(k) from
-  :mod:`altzeta.coefficients`, written through the lower orders times
-  powers of log q; all orders share one coefficient cache.
+  entry points to the divergent large-q expansion of order m, with
+  fixed-length or smallest-envelope truncation.  Its tail coefficients
+  E_k(0) d^m/dz^m [(z)_k/k! q^(-z-k)] are the z-Taylor coefficients of one
+  product, so one pass over k carries the jet (z+eps)_k/k! to order eps^m
+  (Taylor arithmetic in z, as in Johansson, Numer. Algorithms 69 (2015))
+  and serves order m directly, with one truncation index.
 * ``zeta_special_value`` / ``deriv1_at_neg_int`` / ``deriv2_at_neg_int``:
   the closed form at z = -n, and the explicit first- and second-derivative
-  expansions there, which are orders 1 and 2 of the same one-pass
-  expansion: at z = -n its tails split into a block k <= n, a polynomial
-  in q summed in full, and an asymptotic tail k > n under the policy.
+  expansions there, which are orders 1 and 2 of the same expansion: at
+  z = -n its tail splits into a block k <= n, a polynomial in q summed in
+  full, and an asymptotic tail k > n under the policy.
 
 ``evaluate`` dispatches between the routes, shifting q upward through the
 reflection identity zeta(z, q+1) + zeta(z, q) = q^(-z) when q is below the
@@ -35,7 +36,7 @@ import math
 import os
 from collections import namedtuple
 
-from .coefficients import CoefficientCache, alternating_binomial_partial_sum
+from .coefficients import alternating_binomial_partial_sum
 from .errors import AccuracyError, CapacityError, DomainError
 from .euler import (
     K_MAX,
@@ -59,16 +60,11 @@ _EPS = 8e-16
 _CVZ_RATE = 3.0 + math.sqrt(8.0)
 _CVZ_TERM_LIMIT = 400
 _ENV_MAX_TERMS = "ZETAE_MAX_TERMS"
-#: A layer entry at most this many times its magnitude scale is rounding
-#: noise around an exact zero.
-_SNAP = 64.0 * 2.2e-16
-#: Under the optimal policy an order's tail ends once two successive
-#: nonzero terms lie below this fraction of the magnitude sum of its heads:
-#: under 1% of the rounding floor of the sum, so later terms cannot change
-#: a double (the smallest term sits there or beyond).
+#: Under the optimal policy the tail ends once two successive nonzero
+#: envelopes lie below this fraction of the envelope sum before them: under
+#: 1% of the rounding floor of the sum, so later terms cannot change a
+#: double (the smallest envelope sits there or beyond).
 _ROUNDING_STOP = 2.0**-60
-#: Tail indices built per step while the rounding stop is being watched.
-_TAIL_CHUNK = 16
 
 
 # ---------------------------------------------------------------------------
@@ -109,16 +105,19 @@ class EvalResult(namedtuple("EvalResult", "value error_estimate terms_used metho
 class TruncationPolicy(namedtuple("TruncationPolicy", "mode fixed_n")):
     """How to cut off a divergent expansion.
 
-    ``optimal`` scans ascending term magnitudes and stops just before the
-    smallest nonzero term; ``fixed`` sums exactly ``fixed_n`` tail indices
-    and builds the tail through index fixed_n + 2, so the first omitted
-    term is seen.  The optimal scan reaches at most 2*ceil(pi*q) + 10,
-    which always covers the smallest-term index at double precision.  It
-    ends earlier at the rounding floor, once two successive nonzero terms
-    lie below 2^-60 times the magnitude sum of the order's head terms (no
-    later term can change the double result), or just past the smallest
-    term, once two successive nonzero terms exceed 10 times it while the
-    weights E_k(0)/q^k grow (the terms diverge from there on).
+    Each tail term k of the order-m expansion has an envelope, the sum of
+    the magnitudes of the products that make it up; unlike the term it
+    does not cross zero in k.  ``optimal`` stops just before the term with
+    the smallest envelope, whose envelope is the truncation estimate;
+    ``fixed`` keeps the head and tail indices 1..``fixed_n`` and builds the
+    tail through index fixed_n + 2, so the first omitted term is seen.  The
+    optimal scan reaches at most 2*ceil(pi*q) + 10, which always covers the
+    smallest-envelope index at double precision.  It ends earlier at the
+    rounding floor, once two successive nonzero envelopes lie below 2^-60
+    times the envelope sum before them (no later term can change the
+    double result), or just past the smallest envelope, once two successive
+    ones exceed 10 times it while the weights E_k(0)/q^k grow (the terms
+    diverge from there on).
     """
 
     __slots__ = ()
@@ -127,7 +126,9 @@ class TruncationPolicy(namedtuple("TruncationPolicy", "mode fixed_n")):
         if mode not in ("optimal", "fixed"):
             raise DomainError(f"unknown truncation mode {mode!r}")
         if mode == "fixed":
-            if fixed_n is None or fixed_n < 0:
+            if not isinstance(fixed_n, int) or isinstance(fixed_n, bool):
+                raise DomainError(f"fixed truncation needs an int fixed_n, got {fixed_n!r}")
+            if fixed_n < 0:
                 raise DomainError("fixed truncation needs fixed_n >= 0")
         return super().__new__(cls, mode, fixed_n)
 
@@ -170,8 +171,7 @@ class TruncationPolicy(namedtuple("TruncationPolicy", "mode fixed_n")):
         limit = _env_max_terms()
         if limit is not None:
             hi = min(hi, 1 + limit)
-        # k = 2 is an exact zero (E_2(0) = 0); k = 3 is the first nonzero
-        # tail index, so reach it for the first omitted term to be seen.
+        # Reach k = 3, the first tail index past k = 1 with E_k(0) != 0.
         return max(hi, 3)
 
 
@@ -266,130 +266,6 @@ def optimal_truncation_index(terms) -> int:
     return len(terms) if best is None else best
 
 
-class _TailWeights:
-    """Weights w_k = -1/2 * E_k(0)/q^k of the tail terms, w_k g_i(k) q^(-z),
-    grown on demand and shared by every order of one expansion.
-
-    E_k(0)/q^k is carried as (E_k(0)/k!) * (k!/q^k); both factors stay
-    inside double range for every k <= K_MAX, unlike E_k(0) itself.  The
-    list is indexed by k; w_0, w_1 and the even k (where E_k(0) = 0) hold
-    0.0 and are never read.
-    """
-
-    def __init__(self, q: float):
-        self.q = q
-        self.values = [0.0, 0.0]
-        self._p = 2.0 / (q * q)  # k!/q^k at k = len(values)
-
-    def upto(self, k_hi: int) -> list[float]:
-        values, q, p = self.values, self.q, self._p
-        for k in range(len(values), k_hi + 1):
-            values.append(-0.5 * (euler_number_over_factorial(k) * p) if k % 2 else 0.0)
-            p *= (k + 1) / q
-        self._p = p
-        return values
-
-
-def _tail_term_list(
-    zc: complex,
-    q: float,
-    layer: int,
-    cache: CoefficientCache,
-    k_hi: int,
-    weights: _TailWeights | None = None,
-    stop_below: float = 0.0,
-    k_min: int = 2,
-) -> tuple[list[complex], int]:
-    """Tail terms -1/2 * E_k(0) * g_layer(k) * q^(-z-k) for k = 2..k_hi, and
-    the list index (k - 2) of the first smallest nonzero term at k >= k_min
-    (what ``optimal_truncation_index`` finds there), or the list length if
-    there is none.
-
-    The terms vanish at even k, where E_k(0) = 0.  Coefficients whose
-    magnitude sits below the rounding noise of their own computation are
-    snapped to exact zero: they are exact zeros of the coefficient family
-    (these occur at negative integer z), and a noise value must not
-    masquerade as the smallest term of the expansion.
-
-    With ``stop_below`` > 0 the list is built in chunks and ends at the
-    second of two successive nonzero terms at k >= k_min that both lie
-
-    * below ``stop_below`` (the rounding stop): the caller sets that level
-      under the rounding floor of the sum, where later terms cannot change
-      a double; or
-    * above 10 times the smallest term so far while the weights
-      w_k = -1/2 * E_k(0)/q^k grow, |w_k| > |w_(k-2)| (the smallest-term
-      stop).  The weights grow once k exceeds about pi*q.  Before that, a
-      near-zero coefficient can make a term dip far below the terms after
-      it, which fall to the true minimum later (z = -2.9157946501335568,
-      q = 10.536338620494451, layer 5: a dip at k = 13, terms 90 times it
-      after, the minimum at k = 35); the weight gate keeps such a dip from
-      ending the list.
-
-    A dip past the stop is not seen.  At z = -33/7, q = 10.37, layer 6 the
-    full list's smallest term is at k = 59, behind terms 14 times the k = 39
-    minimum, and the stopped list ends at k = 57; ``_expansion`` builds that
-    tail (orders m >= 6) only to k = 21, where its rounding stop fires, so
-    no result changes.  At z = -1.5, q from about 10.2 to 10.6, layer 7 the
-    full list plans at k = 59 behind terms up to 84 times the k = 35 minimum,
-    where the stopped list plans: orders 7 and 8 move by about 1e-9, far
-    inside their estimates of 1e-6 and 3e-5.  Without ``stop_below``, and
-    when no stop fires, the list runs to k_hi.
-    """
-    if k_hi > K_MAX:
-        raise CapacityError(f"tail index {k_hi} exceeds the exact table capacity {K_MAX}")
-    weights = weights or _TailWeights(q)
-    qmz = _power(q, -zc)
-    watch = stop_below > 0.0
-    out: list[complex] = []
-    best, best_mag = None, math.inf
-    below = above = 0
-    start = 2
-    while start <= k_hi:
-        end = min(start + _TAIL_CHUNK - 1, k_hi) if watch else k_hi
-        w = weights.upto(end)
-        g_row, mag_row = cache.rows(layer, end)
-        for k in range(start, end + 1):
-            if not k % 2:
-                out.append(0j)
-                continue
-            g = g_row[k]
-            if abs(g) <= _SNAP * mag_row[k]:
-                g = 0.0
-            term = w[k] * g * qmz
-            out.append(term)
-            if k < k_min or not term:
-                continue
-            mag = abs(term)
-            if mag < best_mag:
-                best, best_mag = k - 2, mag
-            if watch:
-                below = below + 1 if mag < stop_below else 0
-                above = above + 1 if mag > 10.0 * best_mag and abs(w[k]) > abs(w[k - 2]) else 0
-                if below == 2 or above == 2:
-                    return out, best
-        start = end + 1
-    return out, len(out) if best is None else best
-
-
-def _plan_tail(
-    terms: list[complex], policy: TruncationPolicy, best: int, split: int
-) -> tuple[list[complex], float]:
-    """Apply the truncation policy to a tail term list.
-
-    ``terms[i]`` is the tail term at index k = i + 2, the first ``split``
-    terms are an exact block that is always kept, and ``best`` is the index
-    of the smallest nonzero term after that block, as ``_tail_term_list``
-    returns it.  Returns the kept prefix and the magnitude of the first
-    omitted nonzero term (the classical error heuristic for a divergent
-    expansion).
-    """
-    if policy.mode == "optimal":
-        return terms[:best], abs(terms[best]) if best < len(terms) else 0.0
-    keep = min(max(split, policy.fixed_n - 1), len(terms))
-    return terms[:keep], next((abs(t) for t in terms[keep:] if t), 0.0)
-
-
 def _float_floor(zc: complex, q: float, scale: float) -> float:
     """Rounding floor for values assembled from powers q^(-z-k).
 
@@ -454,6 +330,8 @@ def zeta_series(z, q: float, m: int = 0, tol: float = 1e-12) -> EvalResult:
 
     scale = max(a_max, abs(value))
     estimate = 3.0 * scale * _CVZ_RATE ** (-t_used) + 4e-16 * scale
+    if not a_max:  # every power underflowed to zero: no digit of the value is left
+        estimate = math.inf
     note = None
     if zc.real <= 0:
         note = "empirical continuation: Re(z) <= 0; cross-validate before trusting"
@@ -471,55 +349,145 @@ def zeta_series(z, q: float, m: int = 0, tol: float = 1e-12) -> EvalResult:
 # Large-q expansions
 
 
-def _expansion(zc: complex, q: float, m: int, policy: TruncationPolicy | None) -> list[EvalResult]:
-    """Large-q expansions of orders 0..m in one pass.
+def _pochhammer_jets(zc: complex, m: int):
+    """The jets P_0, P_1, ... of P_k(eps) = (z+eps)_k / k! to order eps^m,
+    as lists [P_k[0], ..., P_k[m]], so that g_j(k) = j! P_k[j].
 
-    Order i is q^(-z)/2 (i = 0 only) + g_i(1) q^(-z-1)/4
-    - sum_{j=1}^{i} C(i, j) value_{i-j} log^j q minus the E_k(0)-weighted
-    tail on layer i; the g_i(1) head is the k = 1 tail term, nonzero only
-    for i <= 1.  At z = -n the rising factorials (z)_j vanish for j > n:
-    the order-0 tail terminates at k = n and is exact up to rounding,
-    whatever the policy, and for i >= 1 the block k <= n is a polynomial
-    in q that is summed in full, so only the tail k > n follows the
-    policy.  Under the optimal policy each tail is built only down to the
-    rounding floor or a little past its smallest term, whichever comes
-    first, and the truncation index is found in the same pass (see
-    ``_tail_term_list``); the layers and the weights E_k(0)/q^k are built
-    once and shared by every order.  Each estimate is the first omitted
-    term plus a rounding floor plus the lower-order estimates carried
-    through the binomial-log weights; terms_used is cumulative.
+    Each comes from the one before through P_k = P_(k-1) (z+k-1+eps) / k,
+    O(m) work per k.  At z = -n the factor z+n+eps has an exact zero
+    constant term, so P_k[0] = (z)_k / k! vanishes exactly for k > n.  At
+    real z the jets are floats, with the values complex arithmetic gives.
+    """
+    z = zc.real if zc.imag == 0.0 else zc
+    zero = 0.0 * z
+    jet = [zero + 1.0] + [zero] * m
+    k = 0
+    while True:
+        yield jet
+        k += 1
+        shift = z + (k - 1)
+        jet = [(shift * x + y) / k for x, y in zip(jet, [zero] + jet)]
+
+
+def _jet_tail(
+    zc: complex,
+    q: float,
+    m: int,
+    k_hi: int,
+    k_min: int = 1,
+    stop: float = 0.0,
+    fixed: int | None = None,
+) -> tuple[list[complex], list[float], int | None]:
+    """Terms of the order-m expansion divided by q^(-z), their envelopes,
+    and the truncation index K.
+
+    ``terms[0]`` is the head (-log q)^m / 2 and, for k = 1..k_hi,
+    ``terms[k]`` = w_k sum_j c_j P_k[j] with c_j = m!/(m-j)! (-log q)^(m-j):
+    m! times the coefficient of eps^m in w_k P_k(eps) q^(-eps), with the
+    jets P_k of ``_pochhammer_jets`` and the weights w_1 = 1/(4q) and
+    w_k = -1/2 E_k(0)/q^k, zero at even k.  ``bounds[k]`` =
+    |w_k| sum_j |c_j| |P_k[j]| is the envelope of term k: it bounds the
+    term and the rounding of its dot product, and unlike the term it does
+    not cross zero in k.
+
+    The sum may end before any odd k >= k_min, unless sum_j |c_j| |P_k[j]|
+    vanishes while the jet does not (at q = 1 only c_m is nonzero, and
+    P_k[m] = 0 for k < m), a zero that says nothing of the terms after it.
+    Where the jet itself vanishes (z = -n, m = 0, k > n) every later term
+    is an exact zero, and K is that k.  Otherwise K is the first such k
+    past ``fixed`` (the fixed policy; the last one built if the lists end
+    first) or, without ``fixed``, the first one with the smallest envelope;
+    it is None if the lists hold none.
+
+    Without ``fixed`` and with ``stop`` > 0 the lists end at the second of
+    two successive nonzero envelopes at k >= k_min that both lie
+
+    * below ``stop`` times the envelope sum before them (the rounding
+      stop): no later term can change the double result; or
+    * above 10 times the smallest envelope so far while the weights grow,
+      |w_k| > |w_(k-2)| (the smallest-term stop).  The weights grow once k
+      exceeds about pi*q; before that an envelope can dip below the ones
+      after it (z = -7.5, q = 2, m = 7: the envelope at k = 1 lies under a
+      hump 21 times it, and the smallest one is at k = 15), and the weight
+      gate keeps such a dip from ending the lists.
+
+    Otherwise the lists run to k_hi.
+    """
+    if k_hi > K_MAX:
+        raise CapacityError(f"tail index {k_hi} exceeds the exact table capacity {K_MAX}")
+    log_q = -math.log(q)
+    c = [math.factorial(m) // math.factorial(m - j) * log_q ** (m - j) for j in range(m + 1)]
+    abs_c = [abs(x) for x in c]
+    head = 0.5 * c[0]
+    terms, bounds = [head], [abs(head)]
+    w_prev, power = 0.0, 2.0 / (q * q)  # k!/q^k at k = 2
+    total, best, best_b = abs(head), None, math.inf
+    below = above = 0
+    jets = _pochhammer_jets(zc, m)
+    next(jets)
+    for k, jet in zip(range(1, k_hi + 1), jets):
+        if k % 2:
+            w = 0.25 / q if k == 1 else -0.5 * euler_number_over_factorial(k) * power
+            envelope = sum([a * abs(x) for a, x in zip(abs_c, jet)])
+            term, b = w * sum([cj * x for cj, x in zip(c, jet)]), abs(w) * envelope
+        else:
+            w, envelope, term, b = w_prev, 0.0, 0j, 0.0
+        if k > 1:
+            power *= (k + 1) / q
+        terms.append(term)
+        bounds.append(b)
+        if k >= k_min and k % 2 and (envelope or not any(jet)):
+            if not envelope:  # the jet vanished: every later term is an exact zero
+                return terms, bounds, k
+            if fixed is not None:
+                best = k
+                if k > fixed:
+                    break
+            else:
+                if b < best_b:
+                    best, best_b = k, b
+                below = below + 1 if b < stop * total else 0
+                above = above + 1 if b > 10.0 * best_b and abs(w) > abs(w_prev) else 0
+                if stop and (below == 2 or above == 2):
+                    break
+        total += b
+        w_prev = w
+    return terms, bounds, best
+
+
+def _expansion(zc: complex, q: float, m: int, policy: TruncationPolicy | None) -> EvalResult:
+    """Order m of the large-q expansion, from one pass over k.
+
+    The value is q^(-z) times the sum of the first K terms of ``_jet_tail``
+    (the head and k = 1..K-1), K chosen by the policy there.  The scan
+    reaches ``policy.scan_limit``, so under fixed:N the first omitted term
+    is seen unless the scan cap falls short of index N + 1, and then K is
+    the last term the scan builds.  At z = -n the tail k <= n is a
+    polynomial in q, summed in full whatever the policy.  The estimate is
+    the envelope at K plus a rounding floor over the envelope sum of the
+    kept terms (infinite if no term past the kept ones was built, or if
+    q^(-z) underflows); terms_used is K.
     """
     policy = policy or TruncationPolicy()
     n = _as_nonpos_int(zc)
     if n is not None and n > K_MAX:
         raise CapacityError(f"terminating expansion needs n <= {K_MAX}, got n={n}")
     qmz = _power(q, -zc)
-    log_q = math.log(q)
-    cache = CoefficientCache(zc)
-    weights = _TailWeights(q)
-    cap = policy.scan_limit(q)
-    split = 0  # tail terms k = 2..split+1 form the exact block
+    cap, k_min = policy.scan_limit(q), 1
     if n is not None:
-        cap, split = max(cap, n + 2), max(0, n - 1)
-    stop = _ROUNDING_STOP if policy.mode == "optimal" else 0.0
-    results: list[EvalResult] = []
-    for i in range(m + 1):
-        heads = [0.5 * qmz] if i == 0 else []
-        heads.append(0.25 * cache.layer(i, 1) * qmz / q)
-        heads += [-math.comb(i, j) * results[i - j].value * log_q**j for j in range(1, i + 1)]
-        if i == 0 and n is not None:
-            kept, omitted = _tail_term_list(zc, q, 0, cache, n, weights)[0], 0.0
-        else:
-            stop_below = stop * sum(map(abs, heads))
-            terms, best = _tail_term_list(zc, q, i, cache, cap, weights, stop_below, 2 + split)
-            kept, omitted = _plan_tail(terms, policy, best, split)
-        value, scale = _sum_with_scale(heads + kept)
-        estimate = omitted + _float_floor(zc, q, scale + abs(value))
-        for j in range(1, i + 1):
-            estimate += math.comb(i, j) * abs(log_q) ** j * results[i - j].error_estimate
-        used = (results[-1].terms_used if results else 2) + len(kept)
-        results.append(EvalResult(value, estimate, used, METHOD_ASYMPTOTIC))
-    return results
+        cap, k_min = max(cap, n + 2), n + 1
+    fixed = policy.fixed_n if policy.mode == "fixed" else None
+    terms, bounds, K = _jet_tail(zc, q, m, cap, k_min, _ROUNDING_STOP, fixed)
+    if K is None:
+        K, omitted = len(terms), math.inf
+    else:
+        omitted = abs(qmz) * bounds[K]
+    value = qmz * complex_fsum(terms[:K])
+    scale = abs(qmz) * math.fsum(bounds[:K])
+    estimate = omitted + _float_floor(zc, q, scale + abs(value))
+    if not qmz:  # q^(-z) underflowed to zero: not one digit of the value is left
+        estimate = math.inf
+    return EvalResult(value, estimate, K, METHOD_ASYMPTOTIC)
 
 
 def _direct(zc: complex, q: float, m: int, policy: TruncationPolicy | None) -> EvalResult:
@@ -527,7 +495,7 @@ def _direct(zc: complex, q: float, m: int, policy: TruncationPolicy | None) -> E
     arithmetic overflow or a zero divisor raises ``CapacityError``, and a
     non-finite value comes back with an infinite estimate and a note."""
     try:
-        result = _expansion(zc, q, m, policy)[m]
+        result = _expansion(zc, q, m, policy)
     except (OverflowError, ZeroDivisionError):
         raise CapacityError(f"arithmetic overflow at z={zc}, q={q}, m={m}") from None
     if cmath.isfinite(result.value):
@@ -552,7 +520,8 @@ def deriv1_asymptotic(z, q: float, policy: TruncationPolicy | None = None) -> Ev
 
 def deriv_m_asymptotic(z, q: float, m: int, policy: TruncationPolicy | None = None) -> EvalResult:
     """Order-m derivative (m >= 2): -sum_{j=1}^{m} C(m, j) value_{m-j}
-    log^j q minus the tail on layer m, all orders under the same policy."""
+    log^j q minus the tail on layer m, summed as one expansion of order m
+    under the policy (the lower orders are never formed)."""
     _check_q(q)
     _check_order(m)
     if m < 2:
@@ -692,12 +661,12 @@ def _dispatch(zc: complex, q: float, m: int, tol: float, policy: TruncationPolic
         return zeta_special_value(n, q)
     threshold = regime_threshold(zc)
     if q >= threshold:
-        result = _expansion(zc, q, m, policy)[m]
+        result = _expansion(zc, q, m, policy)
     else:
         partial, partial_scale, steps = _shift_terms(zc, q, m, threshold)
         shifted_q = q + float(steps)
         sign = -1.0 if steps % 2 else 1.0
-        base = _expansion(zc, shifted_q, m, policy)[m]
+        base = _expansion(zc, shifted_q, m, policy)
         value = partial + sign * base.value
         estimate = base.error_estimate + _float_floor(zc, shifted_q, partial_scale + abs(value))
         result = EvalResult(value, estimate, base.terms_used + steps, METHOD_SHIFTED)

@@ -297,7 +297,9 @@ class TestVerify:
         ("2.5", 2.0, 2.0, DomainError, EXIT_USAGE),
         ("2.5", 1e-300, 0, CapacityError, EXIT_USAGE),
         ("-300+0.5i", 2.0, 0, CapacityError, EXIT_USAGE),
-        ("1e4", 30.0, 0, None, EXIT_ACCURACY),  # the value comes out NaN
+        ("1e4", 30.0, 0, None, EXIT_ACCURACY),  # every power underflows to zero
+        ("-60.25", 1e5, 8, None, EXIT_ACCURACY),  # the value overflows to inf
+        ("-60.25+1i", 1e5, 8, None, EXIT_ACCURACY),
         # command lines that used to grow a grid without end or crash on an
         # empty table; z holds the argv, whose handler must raise the error
         pytest.param(

@@ -6,6 +6,8 @@ z by the product rule with zeta_H^(j) from ``mpmath.zeta(s, a, j)``.
 
 import importlib.util
 import itertools
+import math
+import statistics
 from pathlib import Path
 
 import pytest
@@ -46,7 +48,14 @@ def error(value: complex, ref) -> float:
 
 @pytest.mark.parametrize("env", [None, "1"], ids=["no-cap", "env-cap-1"])
 @pytest.mark.parametrize(
-    "policy", [TruncationPolicy.optimal(), TruncationPolicy.fixed(0)], ids=["optimal", "fixed-0"]
+    "policy",
+    [
+        TruncationPolicy.optimal(),
+        TruncationPolicy.fixed(0),
+        TruncationPolicy.fixed(50),
+        TruncationPolicy.fixed(300),
+    ],
+    ids=["optimal", "fixed-0", "fixed-50", "fixed-300"],
 )
 @pytest.mark.parametrize(
     "z,m,call",
@@ -58,8 +67,10 @@ def error(value: complex, ref) -> float:
     ids=["zeta_asymptotic", "deriv1_asymptotic", "evaluate"],
 )
 def test_shortest_tail_still_sees_first_omitted_term(monkeypatch, env, policy, z, m, call):
-    # A tail list that stops at k = 2 holds only an exact zero, so the
-    # first omitted term must come from k = 3.
+    # The shortest scan still reaches k = 3, the first tail index past
+    # k = 1 with E_k(0) != 0, so an omitted term is seen; and a fixed:N
+    # whose index N + 1 lies past the scan cap (ZETAE_MAX_TERMS, or
+    # K_MAX = 256) must end the sum before the last term the scan builds.
     if env is None:
         monkeypatch.delenv("ZETAE_MAX_TERMS", raising=False)
     else:
@@ -125,10 +136,10 @@ def test_rounding_stop_stays_within_estimate(monkeypatch, z, q, m):
 @pytest.mark.parametrize("m", [7, 8])
 @pytest.mark.parametrize("q", [0.5, 5.3, 10.3])
 def test_late_dip_past_the_smallest_term_stop(monkeypatch, q, m):
-    # At z = -1.5 the layer-7 coefficient nearly vanishes at k = 59: the
-    # full scan plans there, behind terms up to 84 times the k = 35
-    # minimum, while the smallest-term stop ends the tail first and plans
-    # at k = 35.  Orders 7 and 8 move; the estimates bound both errors.
+    # At z = -1.5 the layer-7 coefficient nearly vanishes at k = 59, a dip
+    # past the smallest-term stop that a full scan of the layer tail planned
+    # at.  The order-m envelope has no such dip: the full scan plans where
+    # the stopped one does, and the values agree bit for bit.
     z = complex(-1.5)
     request = EvalRequest(z, q, m, 1e-10)
     ref = reference(z, q, m)
@@ -136,7 +147,7 @@ def test_late_dip_past_the_smallest_term_stop(monkeypatch, q, m):
     assert error(stopped.value, ref) <= stopped.error_estimate
     monkeypatch.setattr(zeta, "_ROUNDING_STOP", 0.0)
     full = evaluate(request)
-    assert full.value != stopped.value
+    assert full.value == stopped.value
     assert error(full.value, ref) <= full.error_estimate
     assert abs(stopped.value - full.value) <= stopped.error_estimate
 
@@ -152,8 +163,10 @@ def _point_mix(seed: int, count: int):
 @pytest.mark.parametrize("seed", [0, 1, 2])
 def test_point_mix_estimates_bound_the_error(seed):
     # The benchmark's request mix: every result off the oracle route must
-    # carry an estimate at least its true error.
+    # carry an estimate at least its true error, and on each expansion
+    # route the median estimate must be within 100 times the true error.
     under = []
+    ratios = {zeta.METHOD_ASYMPTOTIC: [], zeta.METHOD_SHIFTED: []}
     for z, q, m, tol in _point_mix(seed, 60):
         result = evaluate(EvalRequest(z, q, m, tol))
         if result.method == zeta.METHOD_ORACLE:
@@ -161,4 +174,19 @@ def test_point_mix_estimates_bound_the_error(seed):
         err = error(result.value, reference(z, q, m))
         if not err <= result.error_estimate:
             under.append((z, q, m, result.method, err, result.error_estimate))
+        if result.method in ratios:
+            ratios[result.method].append(result.error_estimate / err if err else math.inf)
     assert not under
+    for method, route in ratios.items():
+        assert statistics.median(route) <= 100.0, method
+
+
+@pytest.mark.parametrize("z,q,m", [(-9.0, 170.5, 8), (-3.0, 30.0, 6)])
+def test_order_m_estimate_is_calibrated(z, q, m):
+    # One truncation index and one envelope for order m: the estimate is
+    # neither below the true error nor far above it (adding propagated
+    # lower-order estimates overstated these errors 7,400 and 720 times).
+    z = complex(z)
+    result = deriv_m_asymptotic(z, q, m)
+    err = error(result.value, reference(z, q, m))
+    assert err <= result.error_estimate <= 100.0 * err

@@ -2,6 +2,7 @@
 shift reduction, and the dispatcher."""
 
 import cmath
+import itertools
 import math
 import random
 from fractions import Fraction
@@ -34,7 +35,7 @@ from altzeta import (
 )
 from altzeta import zeta as zeta_module
 from altzeta.coefficients import CoefficientCache
-from altzeta.zeta import _tail_term_list
+from altzeta.zeta import _jet_tail, _pochhammer_jets
 
 
 def brute_force_series(z, q, m, terms=2_000_000):
@@ -131,25 +132,33 @@ class TestOptimalTruncation:
 
     def test_expansion_minimum_sits_near_pi_q(self):
         z, q = complex(2.5), 10.0
-        terms, _ = _tail_term_list(z, q, 0, CoefficientCache(z), 73)
-        idx = optimal_truncation_index(terms)
-        assert abs((idx + 2) - math.pi * q) <= 5.0
+        terms = _jet_tail(z, q, 0, 73)[0]
+        idx = 1 + optimal_truncation_index(terms[1:])  # terms[0] is the head
+        assert abs(idx - math.pi * q) <= 5.0
 
 
-def _rounding_stop_only(zc, q, layer, cache, k_hi, weights=None, stop_below=0.0, k_min=2):
-    """``_tail_term_list`` without the smallest-term stop: the full list, cut
-    at the second of two successive nonzero terms at k >= k_min below
-    ``stop_below``, its smallest term found by ``optimal_truncation_index``."""
-    terms, _ = _tail_term_list(zc, q, layer, cache, k_hi, weights)
-    split = k_min - 2
-    below = 0
-    for i in range(split, len(terms)):
-        if terms[i]:
-            below = below + 1 if abs(terms[i]) < stop_below else 0
+def _smallest(bounds, k_min=1):
+    """First odd k >= k_min with the smallest envelope."""
+    return min(range(k_min | 1, len(bounds), 2), key=bounds.__getitem__)
+
+
+def _rounding_stop_only(zc, q, m, k_hi, k_min=1, stop=0.0, fixed=None):
+    """``_jet_tail`` without the smallest-term stop: the full lists, cut at
+    the second of two successive nonzero envelopes at odd k >= k_min below
+    ``stop`` times the envelope sum before them, and planned at their first
+    smallest envelope at odd k >= k_min."""
+    terms, bounds, best = _jet_tail(zc, q, m, k_hi, k_min, 0.0, fixed)
+    if fixed is not None or bounds[best] == 0.0:
+        return terms, bounds, best
+    below, total = 0, 0.0
+    for k, b in enumerate(bounds):
+        if k >= k_min and k % 2:
+            below = below + 1 if b < stop * total else 0
             if below == 2:
-                terms = terms[: i + 1]
+                terms, bounds = terms[: k + 1], bounds[: k + 1]
                 break
-    return terms, split + optimal_truncation_index(terms[split:])
+        total += b
+    return terms, bounds, _smallest(bounds, k_min)
 
 
 def _bits(result):
@@ -164,51 +173,56 @@ def _bits(result):
 
 
 class TestSmallestTermStop:
-    # Under the optimal policy a tail also ends shortly past its smallest
-    # term, once the terms rise above ten times it while the weights
-    # -1/2 * E_k(0)/q^k grow.
+    # Under the optimal policy the tail also ends shortly past its smallest
+    # envelope, once the envelopes rise above ten times it while the
+    # weights -1/2 * E_k(0)/q^k grow.
 
     @staticmethod
-    def _lists(z, q, layer):
+    def _lists(z, q, m):
         zc = complex(z)
         cap = TruncationPolicy.optimal().scan_limit(q)
-        full = _tail_term_list(zc, q, layer, CoefficientCache(zc), cap)
-        stopped = _tail_term_list(zc, q, layer, CoefficientCache(zc), cap, stop_below=1e-300)
-        return full, stopped
+        return _jet_tail(zc, q, m, cap), _jet_tail(zc, q, m, cap, stop=1e-300)
 
     def test_early_dip_does_not_end_the_tail(self):
-        # Layer 5 dips at k = 13, the terms after it rise about 90 times, and
-        # they fall to the true minimum at k = 35; a stop without the weight
-        # gate ends this tail at k = 17 and plans at k = 13.
-        (full, full_best), (terms, best) = self._lists(-2.9157946501335568, 10.536338620494451, 5)
-        assert full_best == optimal_truncation_index(full) == 35 - 2
-        assert abs(full[13 - 2]) < abs(full[17 - 2]) / 10
-        assert best == optimal_truncation_index(terms) == full_best
-        assert terms == full[: len(terms)]
+        # Below the regime the order-7 envelope at k = 1 lies under a hump
+        # that rises to 14 and 21 times it at k = 5 and 7; the weights still
+        # fall at k = 5, and the envelope reaches its true minimum at k = 15.
+        # A stop without the weight gate ends these lists at k = 7 and plans
+        # at k = 1.
+        (full, bounds, full_best), (terms, stopped, best) = self._lists(-7.5, 2.0, 7)
+        assert full_best == _smallest(bounds) == 15
+        assert bounds[5] > 10 * bounds[1] and bounds[7] > 20 * bounds[1]
+        assert best == _smallest(stopped) == full_best
+        assert (terms, stopped) == (full[: len(terms)], bounds[: len(stopped)])
         assert len(terms) < len(full)
 
     @pytest.mark.parametrize(
-        "z,q,layer,end,best_k,ratio",
-        [(-33 / 7, 10.37, 6, 57, 39, 14.0), (-1.5, 10.3, 7, 51, 35, 80.0)],
+        "z,q,m,end,best_k",
+        [(-33 / 7, 10.37, 6, 53, 37), (-1.5, 10.3, 7, 49, 33)],
         ids=["-33/7", "-1.5"],
     )
-    def test_late_dip_past_the_stop(self, z, q, layer, end, best_k, ratio):
-        # A near-zero coefficient at k = 59 puts the full list's smallest
-        # term behind terms many times the true minimum; the stop ends the
-        # list before it and plans at that minimum.
-        (full, full_best), (terms, best) = self._lists(z, q, layer)
-        assert full_best == optimal_truncation_index(full) == 59 - 2
-        assert len(terms) == end - 1
-        assert best == optimal_truncation_index(terms) == best_k - 2
-        assert max(map(abs, full[best + 1 : full_best])) > ratio * abs(full[best])
+    def test_late_dip_past_the_stop(self, z, q, m, end, best_k):
+        # Here the layer-6 and layer-7 coefficients nearly vanish at k = 59,
+        # so a tail of that layer alone dips there, far past the stop, behind
+        # terms 14 and 80 times its minimum.  The order-m envelope falls to
+        # one minimum and rises from it to the scan cap, so the stop ends
+        # the lists where a full scan plans.
+        (full, bounds, full_best), (terms, stopped, best) = self._lists(z, q, m)
+        assert full_best == _smallest(bounds) == best_k
+        odd = bounds[1::2]
+        low = odd.index(min(odd))
+        assert all(odd[i + 1] < odd[i] for i in range(low))
+        assert all(odd[i + 1] > odd[i] for i in range(low, len(odd) - 1))
+        assert len(terms) == end + 1
+        assert best == _smallest(stopped) == best_k
 
     def test_late_dip_does_not_reach_evaluate_at_z_minus_33_over_7(self, monkeypatch):
-        # The rounding stop ends this layer-6 tail at k = 21, with or
-        # without the smallest-term stop, so the results agree bit for bit.
-        # (At z = -1.5 the late dip does reach evaluate: test_reference.py.)
+        # With or without the smallest-term stop these requests plan at the
+        # same index, so the results agree bit for bit.  (At z = -1.5 too:
+        # test_reference.py.)
         requests = [EvalRequest(-33 / 7, 10.37, m, 1e-10) for m in (6, 7, 8)]
         got = [_bits(evaluate(r)) for r in requests]
-        monkeypatch.setattr(zeta_module, "_tail_term_list", _rounding_stop_only)
+        monkeypatch.setattr(zeta_module, "_jet_tail", _rounding_stop_only)
         assert got == [_bits(evaluate(r)) for r in requests]
 
     @pytest.mark.parametrize(
@@ -217,7 +231,7 @@ class TestSmallestTermStop:
         ids=["2.5", "seed3", "-33/7", "-7.5", "1+8i", "-1.5+14i", "-3"],
     )
     def test_bit_identical_to_the_rounding_stop_alone(self, monkeypatch, z):
-        # The stop ends a tail only past its smallest term, so no result
+        # The stop ends a tail only past its smallest envelope, so no result
         # changes: shifted requests, requests at the regime threshold and
         # above it, every third order, two tolerances.
         threshold = regime_threshold(z)
@@ -228,28 +242,52 @@ class TestSmallestTermStop:
             for tol in (1e-8, 1e-12)
         ]
         got = [_bits(evaluate(r)) for r in requests]
-        monkeypatch.setattr(zeta_module, "_tail_term_list", _rounding_stop_only)
+        monkeypatch.setattr(zeta_module, "_jet_tail", _rounding_stop_only)
         assert got == [_bits(evaluate(r)) for r in requests]
 
     def test_stops_off_builds_every_tail_to_its_cap(self, monkeypatch):
         # With the rounding-stop level at zero neither stop fires, so the
-        # tests that switch it off compare against a true full scan.
-        request = EvalRequest(-2.9157946501335568, 4.536338620494451, 7, 1e-10)
+        # tests that switch it off compare against a true full scan.  The
+        # shifted request plans at the same index either way; at q = 100 the
+        # rounding stop ends the tail before its smallest envelope.
         lengths = []
 
-        def spy(zc, q, layer, cache, k_hi, *args, **kwargs):
-            terms, best = _tail_term_list(zc, q, layer, cache, k_hi, *args, **kwargs)
-            lengths.append((len(terms), k_hi - 1))
-            return terms, best
+        def spy(zc, q, m, k_hi, *args, **kwargs):
+            terms, bounds, best = _jet_tail(zc, q, m, k_hi, *args, **kwargs)
+            lengths.append((len(terms), k_hi + 1))
+            return terms, bounds, best
 
-        monkeypatch.setattr(zeta_module, "_tail_term_list", spy)
-        stopped = evaluate(request)
-        assert any(n < cap for n, cap in lengths)
+        monkeypatch.setattr(zeta_module, "_jet_tail", spy)
+        requests = [
+            EvalRequest(-2.9157946501335568, 4.536338620494451, 7, 1e-10),
+            EvalRequest(2.5, 100.0, 3, 1e-10),
+        ]
+        stopped = [evaluate(r) for r in requests]
+        assert len(lengths) == 2 and all(n < cap for n, cap in lengths)
         lengths.clear()
         monkeypatch.setattr(zeta_module, "_ROUNDING_STOP", 0.0)
-        full = evaluate(request)
-        assert len(lengths) == 8 and all(n == cap for n, cap in lengths)
-        assert full.terms_used > stopped.terms_used
+        full = [evaluate(r) for r in requests]
+        assert len(lengths) == 2 and all(n == cap for n, cap in lengths)
+        assert full[0].terms_used == stopped[0].terms_used
+        assert full[1].terms_used > stopped[1].terms_used
+
+
+@pytest.mark.parametrize("z", [0.0, 3.0, -3.0, -12.0, 2.5, -2.75, 1 / 3, -33 / 7])
+def test_jets_match_the_exact_layers(z):
+    # i! [eps^i] P_k is the layer g_i(k); the exact oracle runs at the
+    # rational value of the double z, so the difference is rounding alone,
+    # a few ulps of the layer's magnitude.  At z = -n the jets keep the
+    # exact zeros of (z)_k / k! for k > n.
+    exact = CoefficientCache(Fraction(z))
+    magnitude = CoefficientCache(complex(z))
+    n = -int(z) if z <= 0 and z == int(z) else None
+    for k, jet in zip(range(61), _pochhammer_jets(complex(z), 8)):
+        for i in range(9):
+            want = float(exact.layer(i, k))
+            got = math.factorial(i) * jet[i]
+            assert abs(got - want) <= 64 * 2.2e-16 * magnitude.layer_noise_scale(i, k), (k, i)
+        if n is not None and k > n:
+            assert jet[0] == 0
 
 
 class TestAsymptotic:
@@ -284,7 +322,7 @@ class TestAsymptotic:
     def test_divergence_profile(self):
         # magnitudes fall to a minimum near pi*q and grow afterwards
         z, q = complex(2.5), 10.0
-        mags = [abs(t) for t in _tail_term_list(z, q, 0, CoefficientCache(z), 73)[0] if abs(t) > 0]
+        mags = [abs(t) for t in _jet_tail(z, q, 0, 73)[0][1:] if abs(t) > 0]
         low = mags.index(min(mags))
         assert all(mags[i + 1] < mags[i] for i in range(low))
         assert all(mags[i + 1] > mags[i] for i in range(low, len(mags) - 1))
@@ -509,15 +547,17 @@ class TestExplicitNegativeInteger:
 
     def test_interior_zero_coefficients_do_not_stop_truncation(self):
         # the order-2 tail coefficient at k = 2n+1 vanishes exactly at
-        # z = -n; evaluated in floats it leaves ~1e-16-scale noise, which
+        # z = -n; evaluated in floats it leaves ~1e-19-scale noise, which
         # must not be mistaken for the smallest term of the expansion
         from altzeta import expansion_coefficient_at_neg_int
-        from altzeta.coefficients import CoefficientCache
-        from altzeta.zeta import _tail_term_list
 
         assert expansion_coefficient_at_neg_int(7, 2, 3) == 0
-        terms, _ = _tail_term_list(complex(-3.0), 10.0, 2, CoefficientCache(complex(-3.0)), 15)
-        assert terms[5] == 0  # k = 7
+        zc = complex(-3.0)
+        jet = next(itertools.islice(_pochhammer_jets(zc, 2), 7, None))
+        scale = CoefficientCache(zc).layer_noise_scale(2, 7)
+        assert 0 < abs(2 * jet[2]) <= 64 * 2.2e-16 * scale  # noise, not snapped
+        terms, bounds, best = _jet_tail(zc, 10.0, 2, 15, 4)
+        assert best == 15 and bounds[7] > 1e3 * bounds[15]  # the envelope does not dip at k = 7
 
         # reference built from exact rational coefficients, truncated at
         # their true smallest magnitude (no float noise anywhere)
@@ -814,6 +854,10 @@ def test_bad_derivative_order_raises_typed_error(call, m, error):
         (lambda: deriv2_at_neg_int(254, 0.5), None),
         (lambda: zeta_asymptotic(1e4, 0.5), CapacityError),
         (lambda: zeta_asymptotic(-300 + 0.5j, 1e-300), CapacityError),
+        (lambda: deriv_m_asymptotic(-60.25, 1e5, 8), None),
+        (lambda: deriv_m_asymptotic(-60.25 + 1j, 1e5, 8), None),
+        (lambda: evaluate(EvalRequest(-60.25, 1e5, 8)), None),
+        (lambda: evaluate(EvalRequest(-60.25 + 1j, 1e5, 8)), None),
     ],
     ids=[
         "zeta_asymptotic-nan",
@@ -823,6 +867,10 @@ def test_bad_derivative_order_raises_typed_error(call, m, error):
         "deriv2_at_neg_int-nan",
         "zeta_asymptotic-overflow",
         "zeta_asymptotic-zero-divisor",
+        "deriv_m_asymptotic-inf-minus-inf",
+        "deriv_m_asymptotic-complex-inf-minus-inf",
+        "evaluate-inf-minus-inf",
+        "evaluate-complex-inf-minus-inf",
     ],
 )
 def test_direct_expansion_failures_are_flagged_or_typed(call, error):
@@ -910,6 +958,8 @@ class TestRecords:
             (lambda: TruncationPolicy("fixed"), DomainError),
             (lambda: TruncationPolicy(mode="fixed", fixed_n=-1), DomainError),
             (lambda: TruncationPolicy.fixed(3)._replace(fixed_n=None), DomainError),
+            (lambda: TruncationPolicy.fixed(2.5), DomainError),
+            (lambda: TruncationPolicy("fixed", True), DomainError),
         ],
     )
     def test_validation_errors(self, build, error):
