@@ -77,12 +77,9 @@ class CoefficientCache:
     """Memoized layers g_i(j) for one fixed evaluation point z.
 
     Each layer is grown by the first-order recurrence of the module
-    docstring, a whole row at a time over the shared factors z + t.  In
-    floating mode the same recurrence run on absolute values (|z + t| and
-    |g|) gives a magnitude table: it bounds the scale against which
-    rounding acts, so callers can tell an exact zero evaluated in floats
-    (pure noise) from a genuinely small coefficient.  A cache must not be
-    shared across threads; recomputation from a fresh cache is always safe.
+    docstring, a whole row at a time over the shared factors z + t.  A
+    cache must not be shared across threads; recomputation from a fresh
+    cache is always safe.
     """
 
     def __init__(self, z):
@@ -100,36 +97,23 @@ class CoefficientCache:
         else:
             one = complex(z) * 0 + (1.0 + 0.0j)
         self._layers: list[list] = [[one]]
-        self._mag_layers: list[list[float]] | None = None if self.exact else [[1.0]]
         self._shifts: list = []  # z + t
-        self._mag_shifts: list[float] = []  # |z + t|
 
     def layer(self, m: int, j: int):
         """g_m(j), growing the underlying tables as needed."""
-        return self.rows(m, j)[0][j]
+        return self.rows(m, j)[j]
 
-    def layer_noise_scale(self, m: int, j: int) -> float:
-        """Magnitude scale of the layer entry; rounding noise is eps times
-        this.  Zero in exact mode (exact zeros are exact there)."""
-        if self.exact:
-            return 0.0
-        return self.rows(m, j)[1][j]
-
-    def rows(self, m: int, j: int) -> tuple[list, list[float] | None]:
-        """Layer m and its magnitude table (None in exact mode), each grown
-        through index j at least.  The lists are the cache's own: read them,
-        never write to them."""
+    def rows(self, m: int, j: int) -> list:
+        """Layer m, grown through index j at least.  The list is the
+        cache's own: read it, never write to it."""
         if m < 0 or j < 0:
             raise DomainError(f"layer indices must be non-negative, got m={m}, j={j}")
-        layers, mags = self._layers, self._mag_layers
-        if m >= len(layers) or j >= len(layers[m]):  # both tables grow together
-            shifts, mag_shifts = self._shifts, self._mag_shifts
+        layers = self._layers
+        if m >= len(layers) or j >= len(layers[m]):
+            shifts = self._shifts
             shifts.extend(self.z + t for t in range(len(shifts), j))
             _grow(layers, m, j, shifts)
-            if mags is not None:
-                mag_shifts.extend(map(abs, shifts[len(mag_shifts) : j]))
-                _grow(mags, m, j, mag_shifts)
-        return layers[m], None if mags is None else mags[m]
+        return layers[m]
 
 
 def expansion_coefficient(cache: CoefficientCache, k: int, m: int):

@@ -108,9 +108,10 @@ class TruncationPolicy(namedtuple("TruncationPolicy", "mode fixed_n")):
     Each tail term k of the order-m expansion has an envelope, the sum of
     the magnitudes of the products that make it up; unlike the term it
     does not cross zero in k.  ``optimal`` stops just before the term with
-    the smallest envelope, whose envelope is the truncation estimate;
-    ``fixed`` keeps the head and tail indices 1..``fixed_n`` and builds the
-    tail through index fixed_n + 2, so the first omitted term is seen.  The
+    the smallest envelope; that envelope, or the next odd one if larger, is
+    the truncation estimate.  ``fixed`` keeps the head and tail indices
+    1..``fixed_n`` (at order m at least 1..m-1) and builds the tail through
+    index fixed_n + 2, so the first omitted term is seen.  The
     optimal scan reaches at most 2*ceil(pi*q) + 10, which always covers the
     smallest-envelope index at double precision.  It ends earlier at the
     rounding floor, once two successive nonzero envelopes lie below 2^-60
@@ -396,8 +397,9 @@ def _jet_tail(
     Where the jet itself vanishes (z = -n, m = 0, k > n) every later term
     is an exact zero, and K is that k.  Otherwise K is the first such k
     past ``fixed`` (the fixed policy; the last one built if the lists end
-    first) or, without ``fixed``, the first one with the smallest envelope;
-    it is None if the lists hold none.
+    first) or, without ``fixed``, the first one with the smallest envelope
+    among those with k + 2 <= k_hi, so that the envelope after K is built
+    unless a stop ends the lists first; K is None if the lists hold none.
 
     Without ``fixed`` and with ``stop`` > 0 the lists end at the second of
     two successive nonzero envelopes at k >= k_min that both lie
@@ -444,7 +446,7 @@ def _jet_tail(
                 if k > fixed:
                     break
             else:
-                if b < best_b:
+                if b < best_b and k + 2 <= k_hi:
                     best, best_b = k, b
                 below = below + 1 if b < stop * total else 0
                 above = above + 1 if b > 10.0 * best_b and abs(w) > abs(w_prev) else 0
@@ -459,29 +461,35 @@ def _expansion(zc: complex, q: float, m: int, policy: TruncationPolicy | None) -
     """Order m of the large-q expansion, from one pass over k.
 
     The value is q^(-z) times the sum of the first K terms of ``_jet_tail``
-    (the head and k = 1..K-1), K chosen by the policy there.  The scan
-    reaches ``policy.scan_limit``, so under fixed:N the first omitted term
+    (the head and k = 1..K-1), K chosen by the policy there among the odd
+    k >= m, and k > n at z = -n, where the tail k <= n is a polynomial in
+    q, summed in full whatever the policy.  Before k = m the envelope lacks
+    the layer-m part c_m P_k[m] (P_k[m] = 0 for k < m), which is all of it
+    at q = 1 and most of it near q = 1, where c_j, j < m, carries
+    (log q)^(m-j).  The scan reaches ``policy.scan_limit``, and two indices
+    past the first odd k allowed, so under fixed:N the first omitted term
     is seen unless the scan cap falls short of index N + 1, and then K is
-    the last term the scan builds.  At z = -n the tail k <= n is a
-    polynomial in q, summed in full whatever the policy.  The estimate is
-    the envelope at K plus a rounding floor over the envelope sum of the
-    kept terms (infinite if no term past the kept ones was built, or if
-    q^(-z) underflows); terms_used is K.
+    the last term the scan builds.  The estimate is the larger of the
+    envelopes at K and at the next odd index, where built: a coefficient
+    can vanish at K (g_2(7) = 0 at z = -3, left as rounding noise in
+    floats), and near q = 1 little else is left of the envelope there.  A
+    rounding floor over the envelope sum of the kept terms is added
+    (the estimate is infinite if no term past the kept ones was built, or
+    if q^(-z) underflows); terms_used is K.
     """
     policy = policy or TruncationPolicy()
     n = _as_nonpos_int(zc)
     if n is not None and n > K_MAX:
         raise CapacityError(f"terminating expansion needs n <= {K_MAX}, got n={n}")
     qmz = _power(q, -zc)
-    cap, k_min = policy.scan_limit(q), 1
-    if n is not None:
-        cap, k_min = max(cap, n + 2), n + 1
+    k_min = max(1, m) if n is None else max(n + 1, m)
+    cap = min(max(policy.scan_limit(q), (k_min | 1) + 2), K_MAX)
     fixed = policy.fixed_n if policy.mode == "fixed" else None
     terms, bounds, K = _jet_tail(zc, q, m, cap, k_min, _ROUNDING_STOP, fixed)
     if K is None:
         K, omitted = len(terms), math.inf
     else:
-        omitted = abs(qmz) * bounds[K]
+        omitted = abs(qmz) * max(bounds[K : K + 3])
     value = qmz * complex_fsum(terms[:K])
     scale = abs(qmz) * math.fsum(bounds[:K])
     estimate = omitted + _float_floor(zc, q, scale + abs(value))
@@ -519,9 +527,9 @@ def deriv1_asymptotic(z, q: float, policy: TruncationPolicy | None = None) -> Ev
 
 
 def deriv_m_asymptotic(z, q: float, m: int, policy: TruncationPolicy | None = None) -> EvalResult:
-    """Order-m derivative (m >= 2): -sum_{j=1}^{m} C(m, j) value_{m-j}
-    log^j q minus the tail on layer m, summed as one expansion of order m
-    under the policy (the lower orders are never formed)."""
+    """Order-m derivative (m >= 2): q^(-z) times the head (-log q)^m / 2
+    plus the tail w_k sum_j c_j P_k[j], c_j = m!/(m-j)! (-log q)^(m-j),
+    from one pass of the Pochhammer jets P_k, truncated by ``policy``."""
     _check_q(q)
     _check_order(m)
     if m < 2:

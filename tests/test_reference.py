@@ -93,6 +93,33 @@ def test_neg_int_block_summed_in_full_below_regime(n, q, m):
 
 
 @pytest.mark.parametrize(
+    "call,z,q,m",
+    [
+        (deriv_m_asymptotic, -3.0, 1.0, 2),
+        (lambda z, q, m: deriv2_at_neg_int(3, q), -3.0, 1.0, 2),
+        (deriv_m_asymptotic, -3.0, 1.0 + 1e-9, 2),
+        (deriv_m_asymptotic, -8.0, 1.0 + 1e-9, 2),
+        (deriv_m_asymptotic, 2.5, 1.0 + 1e-9, 2),
+        (deriv_m_asymptotic, -2.5, 2.0, 8),
+        (deriv_m_asymptotic, -8.5, 2.0, 7),
+        (deriv_m_asymptotic, -3.3, 1.0, 8),
+    ],
+    ids=["-3-q1", "deriv2_at_neg_int-3-q1", "-3-q1+", "-8-q1+", "2.5-q1+", "-2.5-q2", "-8.5-q2",
+         "-3.3-q1"],
+)
+def test_vanishing_envelope_is_no_truncation_estimate(call, z, q, m):
+    # Far below the regime the envelope of order m can be small at a k
+    # where the later ones are not: at q = 1 it is m! |w_k| |P_k[m]|, zero
+    # for k < m and rounding noise where g_2(7) = 0 at z = -3; just above
+    # q = 1 the c_j, j < m, carry powers of log q, so the envelope is as
+    # small as log q there; at q = 2 the envelope at k < m, which lacks
+    # the layer-m part, lies below the hump after it.  None of these may
+    # stand in for the omitted terms.
+    result = call(complex(z), q, m)
+    assert error(result.value, reference(complex(z), q, m)) <= result.error_estimate
+
+
+@pytest.mark.parametrize(
     "call,n,q,m",
     [
         (deriv2_at_neg_int, 4, 100.0, 2),

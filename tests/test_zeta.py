@@ -273,19 +273,19 @@ class TestSmallestTermStop:
 
 
 @pytest.mark.parametrize("z", [0.0, 3.0, -3.0, -12.0, 2.5, -2.75, 1 / 3, -33 / 7])
-def test_jets_match_the_exact_layers(z):
+def test_jets_match_the_exact_layers(z, magnitude_layers):
     # i! [eps^i] P_k is the layer g_i(k); the exact oracle runs at the
     # rational value of the double z, so the difference is rounding alone,
     # a few ulps of the layer's magnitude.  At z = -n the jets keep the
     # exact zeros of (z)_k / k! for k > n.
     exact = CoefficientCache(Fraction(z))
-    magnitude = CoefficientCache(complex(z))
+    mags = magnitude_layers(z, 8, 60)
     n = -int(z) if z <= 0 and z == int(z) else None
     for k, jet in zip(range(61), _pochhammer_jets(complex(z), 8)):
         for i in range(9):
             want = float(exact.layer(i, k))
             got = math.factorial(i) * jet[i]
-            assert abs(got - want) <= 64 * 2.2e-16 * magnitude.layer_noise_scale(i, k), (k, i)
+            assert abs(got - want) <= 64 * 2.2e-16 * mags[i][k], (k, i)
         if n is not None and k > n:
             assert jet[0] == 0
 
@@ -545,19 +545,24 @@ class TestExplicitNegativeInteger:
         # comparison bottoms out at the rounding of the leading term
         assert abs(got - main) <= 1e-12 * abs(got)
 
-    def test_interior_zero_coefficients_do_not_stop_truncation(self):
+    def test_interior_zero_coefficients_do_not_stop_truncation(self, magnitude_layers):
         # the order-2 tail coefficient at k = 2n+1 vanishes exactly at
         # z = -n; evaluated in floats it leaves ~1e-19-scale noise, which
-        # must not be mistaken for the smallest term of the expansion
+        # must neither cut the expansion short nor stand in for its error
         from altzeta import expansion_coefficient_at_neg_int
 
         assert expansion_coefficient_at_neg_int(7, 2, 3) == 0
         zc = complex(-3.0)
         jet = next(itertools.islice(_pochhammer_jets(zc, 2), 7, None))
-        scale = CoefficientCache(zc).layer_noise_scale(2, 7)
+        scale = magnitude_layers(zc, 2, 7)[2][7]
         assert 0 < abs(2 * jet[2]) <= 64 * 2.2e-16 * scale  # noise, not snapped
-        terms, bounds, best = _jet_tail(zc, 10.0, 2, 15, 4)
+        terms, bounds, best = _jet_tail(zc, 10.0, 2, 17, 4)
         assert best == 15 and bounds[7] > 1e3 * bounds[15]  # the envelope does not dip at k = 7
+        # at q = 1 only c_2 is nonzero, so the envelope at k = 7 is that
+        # noise alone and the smallest; the estimate takes the one after it
+        terms, bounds, best = _jet_tail(zc, 1.0, 2, 17, 4)
+        assert best == 7 and bounds[7] < 1e-15 * bounds[9]
+        assert deriv2_at_neg_int(3, 1.0).error_estimate >= bounds[9]
 
         # reference built from exact rational coefficients, truncated at
         # their true smallest magnitude (no float noise anywhere)
