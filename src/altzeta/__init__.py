@@ -2,13 +2,13 @@
 series oracle, exact Euler-polynomial machinery, and Boole summation."""
 
 from .coefficients import (
-    CoefficientCache,
     alternating_binomial_partial_sum,
     alternating_binomial_sum,
     expansion_coefficient,
     expansion_coefficient_at_neg_int,
     pochhammer,
     pochhammer_derivative,
+    pochhammer_jets,
 )
 from .errors import AccuracyError, CapacityError, DomainError
 from .euler import (
@@ -35,7 +35,6 @@ from .zeta import (
     deriv2_at_neg_int,
     deriv_m_asymptotic,
     evaluate,
-    optimal_truncation_index,
     regime_threshold,
     shift_reduce,
     zeta_asymptotic,
@@ -72,7 +71,6 @@ __all__ = [
     "AccuracyError",
     "BooleReport",
     "CapacityError",
-    "CoefficientCache",
     "DomainError",
     "EvalRequest",
     "EvalResult",
@@ -102,9 +100,9 @@ __all__ = [
     "expansion_coefficient",
     "expansion_coefficient_at_neg_int",
     "fourier_partial_sum",
-    "optimal_truncation_index",
     "pochhammer",
     "pochhammer_derivative",
+    "pochhammer_jets",
     "polynomial_function",
     "power_function",
     "quasi_periodic_euler",

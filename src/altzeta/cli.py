@@ -13,13 +13,14 @@ import argparse
 import cmath
 import csv
 import io
+import itertools
 import json
 import math
 import sys
 import time
 from collections import namedtuple
 
-from .coefficients import CoefficientCache, expansion_coefficient, pochhammer_derivative
+from .coefficients import _expansion_coefficients, pochhammer_jets
 from .errors import AccuracyError, CapacityError, DomainError
 from .euler import euler_number_at_zero
 from .zeta import EvalRequest, EvalResult, TruncationPolicy, evaluate
@@ -249,13 +250,8 @@ def cmd_table(args, stdout) -> int:
 
 
 def cmd_coeffs(args, stdout) -> int:
-    rows: list[dict]
-    if args.table != "euler":
-        z = parse_complex(args.z)
-        if not cmath.isfinite(z):
-            raise DomainError(f"--z must be finite, got {args.z}")
+    rows: list[dict] = []
     if args.table == "euler":
-        rows = []
         for k in range(args.k_max + 1):
             value = euler_number_at_zero(k)
             try:
@@ -270,18 +266,23 @@ def cmd_coeffs(args, stdout) -> int:
                     "value": approx,
                 }
             )
-    elif args.table == "pochhammer-derivative":
-        rows = []
-        for k in range(1, args.k_max + 1):
-            value = pochhammer_derivative(z, k)
-            rows.append({"k": k, "value_re": repr(value.real), "value_im": repr(value.imag)})
-    else:  # expansion
-        cache = CoefficientCache(z)
-        rows = []
-        for k in range(2, args.k_max + 1):
-            value = expansion_coefficient(cache, k, args.m)
+    else:
+        z = parse_complex(args.z)
+        if not cmath.isfinite(z):
+            raise DomainError(f"--z must be finite, got {args.z}")
+        if args.table == "pochhammer-derivative":
+            first, extra = 1, {}
+            values = (jet[1] for jet in itertools.islice(pochhammer_jets(z, 1), 1, None))
+        else:  # expansion
+            first, extra = 2, {"m": args.m}
+            values = _expansion_coefficients(z, args.m)
+        for k, value in zip(range(first, args.k_max + 1), values):
+            if not cmath.isfinite(value):
+                raise CapacityError(
+                    f"the {args.table} coefficient at k={k} is not finite in double precision"
+                )
             rows.append(
-                {"k": k, "m": args.m, "value_re": repr(value.real), "value_im": repr(value.imag)}
+                {"k": k, **extra, "value_re": repr(value.real), "value_im": repr(value.imag)}
             )
     if not rows:
         raise DomainError(f"--k-max {args.k_max} leaves the {args.table} table empty")

@@ -1,34 +1,44 @@
-"""Pochhammer symbols and the layered coefficients of the large-q expansions.
+"""Pochhammer jets: the coefficients of the large-q expansions.
 
 The tail of the m-th derivative expansion carries coefficients
-E_k(0) * g_m(k), where the layer g_i(j) is the coefficient of x^j in
+E_k(0) * g_m(k), where g_i(k) is the i-th z-derivative of (z)_k / k!.
+All of them come from one object, the jet of
 
-    G_i(x) = (1 - x)^(-z) * (-log(1 - x))^i.
+    P_k(eps) = (z + eps)_k / k!
 
-So g_0(j) = (z)_j / j!, and since d/dz G_i = G_{i+1}, g_i(j) is the i-th
-z-derivative of (z)_j / j!: the layer index counts derivative order, and
-the plain expansion tail is the m = 0 case of the same family.  Expanding
-the product gives the nested harmonic-weighted sums
-g_i(j) = sum_{l<j} g_{i-1}(l) / (j - l); differentiating in x gives
-(1 - x) G_i' = z G_i + i G_{i-1}, hence the first-order recurrence
+to order eps^m: its entry P_k[i] is g_i(k) / i!.  Each jet follows from
+the one before by one multiplication,
 
-    (j + 1) g_i(j + 1) = (z + j) g_i(j) + i g_{i-1}(j),    g_i(0) = [i = 0],
+    P_k = P_(k-1) (z + k - 1 + eps) / k,    P_0 = 1,
 
-which is how the layers are computed: O(1) work per entry, and none of the
-cancellation the nested sums suffer at negative z.
+O(m) work per k with none of the cancellation the nested-sum form of the
+layers, g_i(k) = sum_{l<k} g_(i-1)(l) / (k - l), suffers at negative z.
+:func:`pochhammer_jets` is the only implementation of this recurrence: the
+expansions in :mod:`altzeta.zeta` sum over its jets, the ``coeffs``
+tables and the ``verify`` ladders take one pass each, and
+:func:`pochhammer_derivative` and :func:`expansion_coefficient` read one
+entry of it.  Arithmetic is exact (Fraction) when z is an int or Fraction
+and floating point otherwise.
 
-Layers are memoized per evaluation point in :class:`CoefficientCache`;
-arithmetic is exact (Fraction) when z is an integer or Fraction and complex
-floating point otherwise.
+:func:`expansion_coefficient_at_neg_int` builds the same coefficients at
+z = -n from the nested sums instead, as an independent exact check.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 import sys
 
 from .errors import CapacityError, DomainError
 from .euler import euler_number_at_zero
+
+
+def _is_exact(z) -> bool:
+    """True for an int or Fraction z.  A Fraction can exist only once its
+    module is loaded, so the test needs no import of its own."""
+    fractions = sys.modules.get("fractions")
+    return isinstance(z, int) or (fractions is not None and isinstance(z, fractions.Fraction))
 
 
 def pochhammer(z, k: int):
@@ -44,97 +54,84 @@ def pochhammer(z, k: int):
     return result
 
 
+def pochhammer_jets(z, m: int):
+    """The jets P_0, P_1, ... of P_k(eps) = (z+eps)_k / k! to order eps^m,
+    as lists [P_k[0], ..., P_k[m]], so that g_j(k) = j! P_k[j]: an endless
+    generator, one jet per k.
+
+    Entries are Fractions at int or Fraction z.  Otherwise they are floats
+    at real z, with the values complex arithmetic gives, and complex at
+    complex z.  At z = -n the factor z+n+eps has an exact zero constant
+    term, so P_k[0] = (z)_k / k! vanishes exactly for k > n.
+    """
+    if m < 0:
+        raise DomainError(f"jet order must be non-negative, got {m}")
+    if _is_exact(z):
+        from fractions import Fraction
+
+        zero, one = Fraction(0), Fraction(1)
+    else:
+        z = complex(z)
+        z = z.real if z.imag == 0.0 else z
+        zero = 0.0 * z
+        one = zero + 1.0
+    jet = [one] + [zero] * m
+    k = 0
+    while True:
+        yield jet
+        k += 1
+        shift = z + (k - 1)
+        jet = [(shift * x + y) / k for x, y in zip(jet, [zero] + jet)]
+
+
 def pochhammer_derivative(z, k: int):
-    """Derivative in z of (z)_k / k!, which is the layer entry g_1(k).
+    """Derivative in z of (z)_k / k!, which is g_1(k).
 
     Exact for int or Fraction inputs, complex otherwise.
     """
     if k < 1:
         raise DomainError(f"order must be positive, got {k}")
-    return CoefficientCache(z).layer(1, k)
+    value = next(itertools.islice(pochhammer_jets(z, 1), k, None))[1]
+    return value if _is_exact(z) else complex(value)
 
 
-def _grow(rows: list[list], m: int, j: int, factors: list) -> None:
-    """Extend rows[0..m] through index j by the layer recurrence
-    (t + 1) r_i(t + 1) = factors[t] r_i(t) + i r_{i-1}(t)."""
-    while len(rows) <= m:
-        rows.append([rows[0][0] * 0])
-    for i in range(m + 1):
-        row = rows[i]
-        v = row[-1]
-        if i:
-            prev = rows[i - 1]
-            for t in range(len(row) - 1, j):
-                v = (factors[t] * v + i * prev[t]) / (t + 1)
-                row.append(v)
-        else:
-            for t in range(len(row) - 1, j):
-                v = factors[t] * v / (t + 1)
-                row.append(v)
+def _expansion_coefficients(z, m: int):
+    """E_k(0) g_m(k) for k = 2, 3, ... from one pass of the jets: exact for
+    int or Fraction z, complex otherwise.
 
-
-class CoefficientCache:
-    """Memoized layers g_i(j) for one fixed evaluation point z.
-
-    Each layer is grown by the first-order recurrence of the module
-    docstring, a whole row at a time over the shared factors z + t.  A
-    cache must not be shared across threads; recomputation from a fresh
-    cache is always safe.
+    In floating mode E_k(0) overflows a double near k = 220, so the first
+    nonzero coefficient past k = 170 raises CapacityError; the evaluators
+    use a scaled form internally.  A nonzero g_m(k) needs k >= m, so m!
+    stays a double wherever it is used.
     """
-
-    def __init__(self, z):
-        self.z = z
-        # A Fraction can exist only once its module is loaded, so the test
-        # needs no import of its own.
-        fractions = sys.modules.get("fractions")
-        self.exact = isinstance(z, int) or (
-            fractions is not None and isinstance(z, fractions.Fraction)
-        )
-        if self.exact:
-            from fractions import Fraction
-
-            one = Fraction(1)
+    if m < 0:
+        raise DomainError(f"derivative order must be non-negative, got {m}")
+    exact = _is_exact(z)
+    scale = math.factorial(m)
+    for k, jet in enumerate(itertools.islice(pochhammer_jets(z, m), 2, None), 2):
+        ek = euler_number_at_zero(k)
+        if exact:
+            yield ek * scale * jet[m]
+        elif not ek or not jet[m]:
+            yield 0j
+        elif k > 170:
+            raise CapacityError(
+                f"E_k(0) overflows double precision near k=220; got k={k} in floating mode"
+            )
         else:
-            one = complex(z) * 0 + (1.0 + 0.0j)
-        self._layers: list[list] = [[one]]
-        self._shifts: list = []  # z + t
-
-    def layer(self, m: int, j: int):
-        """g_m(j), growing the underlying tables as needed."""
-        return self.rows(m, j)[j]
-
-    def rows(self, m: int, j: int) -> list:
-        """Layer m, grown through index j at least.  The list is the
-        cache's own: read it, never write to it."""
-        if m < 0 or j < 0:
-            raise DomainError(f"layer indices must be non-negative, got m={m}, j={j}")
-        layers = self._layers
-        if m >= len(layers) or j >= len(layers[m]):
-            shifts = self._shifts
-            shifts.extend(self.z + t for t in range(len(shifts), j))
-            _grow(layers, m, j, shifts)
-        return layers[m]
+            yield complex(float(ek) * scale * jet[m])
 
 
-def expansion_coefficient(cache: CoefficientCache, k: int, m: int):
-    """Coefficient of q^(-z-k) in the m-th derivative tail: E_k(0) * g_m(k).
+def expansion_coefficient(z, k: int, m: int):
+    """Coefficient of q^(-z-k) in the m-th derivative tail at z:
+    E_k(0) * g_m(k), read from the jets as in ``_expansion_coefficients``.
 
-    Zero for every even k because E_k(0) vanishes there.  In floating mode
-    the E_k(0) factor overflows a double near k = 220; the evaluators use a
-    scaled form internally, so this entry point is intended for moderate k.
+    Exact for int or Fraction z, complex otherwise.  Zero for every even k
+    because E_k(0) vanishes there.
     """
     if k < 2:
         raise DomainError(f"tail index starts at k=2, got {k}")
-    ek = euler_number_at_zero(k)
-    if ek == 0:
-        return cache.layer(0, 0) * 0
-    if cache.exact:
-        return ek * cache.layer(m, k)
-    if k > 170:
-        raise CapacityError(
-            f"E_k(0) overflows double precision near k=220; got k={k} in floating mode"
-        )
-    return float(ek) * cache.layer(m, k)
+    return next(itertools.islice(_expansion_coefficients(z, m), k - 2, None))
 
 
 def _neg_int_inner_layer(n: int, m: int, k: int) -> Fraction:
@@ -143,17 +140,14 @@ def _neg_int_inner_layer(n: int, m: int, k: int) -> Fraction:
     Innermost layer: h_1(j) = sum_{l=0}^{min(n, j-1)} C(n, l) (-1)^l / (j-l);
     outer layers convolve with harmonic weights as in the nested-sum form
     of the layers.  Returns h_m(k).  Built from the nested sums rather than
-    the recurrence, this is an independent exact check on
-    :class:`CoefficientCache`.
+    the jet recurrence, this is an independent exact check on
+    :func:`pochhammer_jets`.
     """
     from fractions import Fraction
 
     h = [Fraction(0)] * (k + 1)
     for j in range(1, k + 1):
-        acc = Fraction(0)
-        for l in range(min(n, j - 1) + 1):
-            acc += Fraction(math.comb(n, l) * (-1) ** l, j - l)
-        h[j] = acc
+        h[j] = alternating_binomial_partial_sum(n, j)
     for _ in range(m - 1):
         nxt = [Fraction(0)] * (k + 1)
         for j in range(1, k + 1):
@@ -191,16 +185,11 @@ def alternating_binomial_sum(n: int, k: int) -> Fraction:
 
     Equals (-1)^n * n! / (k (k-1) ... (k-n)) in closed form.
     """
-    from fractions import Fraction
-
     if n < 0:
         raise DomainError(f"n must be non-negative, got {n}")
     if k <= n:
         raise DomainError(f"need k > n to avoid a zero denominator, got k={k}, n={n}")
-    total = Fraction(0)
-    for j in range(n + 1):
-        total += Fraction(math.comb(n, j) * (-1) ** j, k - j)
-    return total
+    return alternating_binomial_partial_sum(n, k)
 
 
 def alternating_binomial_partial_sum(n: int, k: int) -> Fraction:
@@ -218,4 +207,3 @@ def alternating_binomial_partial_sum(n: int, k: int) -> Fraction:
     for j in range(min(n, k - 1) + 1):
         total += Fraction(math.comb(n, j) * (-1) ** j, k - j)
     return total
-

@@ -36,7 +36,7 @@ import math
 import os
 from collections import namedtuple
 
-from .coefficients import alternating_binomial_partial_sum
+from .coefficients import alternating_binomial_partial_sum, pochhammer_jets
 from .errors import AccuracyError, CapacityError, DomainError
 from .euler import (
     K_MAX,
@@ -247,26 +247,6 @@ def regime_threshold(z: complex) -> float:
     return max(10.0, 2.0 * abs(complex(z)))
 
 
-def optimal_truncation_index(terms) -> int:
-    """Index of the smallest-magnitude nonzero term, scanning ascending.
-
-    Ties break toward the smaller index; summation keeps everything before
-    the returned index.  If every term is zero the full length is returned
-    (nothing needs to be dropped).
-    """
-    terms = list(terms)
-    if not terms:
-        raise DomainError("term sequence must be non-empty")
-    best = None
-    best_mag = math.inf
-    for i, t in enumerate(terms):
-        mag = abs(t)
-        if mag != 0.0 and mag < best_mag:
-            best = i
-            best_mag = mag
-    return len(terms) if best is None else best
-
-
 def _float_floor(zc: complex, q: float, scale: float) -> float:
     """Rounding floor for values assembled from powers q^(-z-k).
 
@@ -350,26 +330,6 @@ def zeta_series(z, q: float, m: int = 0, tol: float = 1e-12) -> EvalResult:
 # Large-q expansions
 
 
-def _pochhammer_jets(zc: complex, m: int):
-    """The jets P_0, P_1, ... of P_k(eps) = (z+eps)_k / k! to order eps^m,
-    as lists [P_k[0], ..., P_k[m]], so that g_j(k) = j! P_k[j].
-
-    Each comes from the one before through P_k = P_(k-1) (z+k-1+eps) / k,
-    O(m) work per k.  At z = -n the factor z+n+eps has an exact zero
-    constant term, so P_k[0] = (z)_k / k! vanishes exactly for k > n.  At
-    real z the jets are floats, with the values complex arithmetic gives.
-    """
-    z = zc.real if zc.imag == 0.0 else zc
-    zero = 0.0 * z
-    jet = [zero + 1.0] + [zero] * m
-    k = 0
-    while True:
-        yield jet
-        k += 1
-        shift = z + (k - 1)
-        jet = [(shift * x + y) / k for x, y in zip(jet, [zero] + jet)]
-
-
 def _jet_tail(
     zc: complex,
     q: float,
@@ -385,7 +345,7 @@ def _jet_tail(
     ``terms[0]`` is the head (-log q)^m / 2 and, for k = 1..k_hi,
     ``terms[k]`` = w_k sum_j c_j P_k[j] with c_j = m!/(m-j)! (-log q)^(m-j):
     m! times the coefficient of eps^m in w_k P_k(eps) q^(-eps), with the
-    jets P_k of ``_pochhammer_jets`` and the weights w_1 = 1/(4q) and
+    jets P_k of ``pochhammer_jets`` and the weights w_1 = 1/(4q) and
     w_k = -1/2 E_k(0)/q^k, zero at even k.  ``bounds[k]`` =
     |w_k| sum_j |c_j| |P_k[j]| is the envelope of term k: it bounds the
     term and the rounding of its dot product, and unlike the term it does
@@ -425,7 +385,7 @@ def _jet_tail(
     w_prev, power = 0.0, 2.0 / (q * q)  # k!/q^k at k = 2
     total, best, best_b = abs(head), None, math.inf
     below = above = 0
-    jets = _pochhammer_jets(zc, m)
+    jets = pochhammer_jets(zc, m)
     next(jets)
     for k, jet in zip(range(1, k_hi + 1), jets):
         if k % 2:

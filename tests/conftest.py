@@ -1,6 +1,11 @@
 """Shared test fixtures."""
 
+import math
+from fractions import Fraction
+
 import pytest
+
+from altzeta import pochhammer
 
 
 def _magnitude_layers(z, depth: int, k_max: int) -> list[list[float]]:
@@ -25,3 +30,23 @@ def _magnitude_layers(z, depth: int, k_max: int) -> list[list[float]]:
 @pytest.fixture
 def magnitude_layers():
     return _magnitude_layers
+
+
+def _exact_nested_layers(z, depth: int, k_max: int) -> list[list[Fraction]]:
+    """Layers 0..depth at j = 0..k_max from their nested-sum definition in
+    exact rational arithmetic: g_0(j) = (z)_j / j!, and
+    g_i(j) = sum_{l<j} g_{i-1}(l) / (j - l).  No jet recurrence is shared,
+    so this is an independent oracle for the jets."""
+    z = Fraction(z)
+    rows = [[pochhammer(z, j) / math.factorial(j) for j in range(k_max + 1)]]
+    for _ in range(depth):
+        prev = rows[-1]
+        rows.append(
+            [sum((prev[l] / (j - l) for l in range(j)), Fraction(0)) for j in range(k_max + 1)]
+        )
+    return rows
+
+
+@pytest.fixture
+def exact_nested_layers():
+    return _exact_nested_layers

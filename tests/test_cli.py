@@ -6,6 +6,7 @@ import math
 import os
 import subprocess
 import sys
+from fractions import Fraction
 
 import pytest
 
@@ -16,6 +17,7 @@ from altzeta import (
     EvalRequest,
     EvalResult,
     deriv1_at_neg_int,
+    euler_number_at_zero,
     evaluate,
 )
 from altzeta.cli import (
@@ -273,6 +275,38 @@ class TestCoeffs:
         assert rows[2] == 0.0
         assert rows[3] == pytest.approx(1.0)  # E_3(0) * (2)_3 / 3!
 
+    def test_expansion_order_past_170_reads_exact_zeros(self):
+        # g_m(k) = 0 for k < m; m! itself would overflow a double
+        code, out = run_cli("coeffs", "--table", "expansion", "--z", "0.5", "--m", "171")
+        assert code == EXIT_OK
+        assert all(row.endswith(",171,0.0,0.0") for row in out.strip().splitlines()[1:])
+
+    @pytest.mark.parametrize("z", ["-7.25", "2.5", "-3"])
+    @pytest.mark.parametrize(
+        "table,m", [("pochhammer-derivative", 1), ("expansion", 0), ("expansion", 3)]
+    )
+    def test_float_rows_stay_within_rounding_of_the_exact_values(
+        self, table, m, z, magnitude_layers, exact_nested_layers
+    ):
+        # Each row is E_k(0) g_m(k) (or g_1(k)) in doubles: within a few ulps
+        # of the magnitude layer of the exact value, and the same bytes on
+        # every run.
+        argv = ("coeffs", "--table", table, "--z", z, "--m", str(m), "--k-max", "60")
+        code, out = run_cli(*argv)
+        assert code == EXIT_OK
+        assert run_cli(*argv) == (code, out)
+        exact = exact_nested_layers(Fraction(z), m, 60)[m]
+        mags = magnitude_layers(float(z), m, 60)[m]
+        rows = out.strip().splitlines()[1:]
+        assert len(rows) == (60 if table == "pochhammer-derivative" else 59)
+        for row in rows:
+            k, *_, re, im = row.split(",")
+            k = int(k)
+            weight = 1 if table == "pochhammer-derivative" else euler_number_at_zero(k)
+            assert float(im) == 0.0
+            err = abs(Fraction(re) - weight * exact[k])
+            assert err <= 64 * 2.2e-16 * abs(weight) * mags[k], k
+
 
 class TestVerify:
     def test_identities_suite_passes(self):
@@ -337,6 +371,19 @@ class TestVerify:
         pytest.param(
             ("coeffs", "--table", "expansion", "--k-max", "4", "--z", "inf"),
             None, None, DomainError, EXIT_USAGE, id="coeffs-expansion-z-inf",
+        ),
+        # rows that overflow a double end the table instead of printing nan
+        pytest.param(
+            ("coeffs", "--table", "pochhammer-derivative", "--z=1e160", "--k-max", "3"),
+            None, None, CapacityError, EXIT_USAGE, id="coeffs-pochhammer-overflow",
+        ),
+        pytest.param(
+            ("coeffs", "--table", "expansion", "--z=1e200"),
+            None, None, CapacityError, EXIT_USAGE, id="coeffs-expansion-overflow",
+        ),
+        pytest.param(
+            ("coeffs", "--table", "expansion", "--m", "-1"),
+            None, None, DomainError, EXIT_USAGE, id="coeffs-expansion-m-1",
         ),
     ],
 )
@@ -405,9 +452,9 @@ codes = [
 ]
 loaded = [m for m in heavy if m in sys.modules and m not in at_startup]
 
-from altzeta.coefficients import CoefficientCache
+from altzeta.coefficients import pochhammer_derivative
 
-exact = str(CoefficientCache(3).layer(1, 2))  # exact mode before fractions is loaded
+exact = str(pochhammer_derivative(3, 2))  # exact mode before fractions is loaded
 import altzeta
 
 scope = {}

@@ -1,12 +1,12 @@
-"""Tests for Pochhammer symbols and the layered expansion coefficients."""
+"""Tests for Pochhammer symbols, their jets and the expansion coefficients."""
 
+import itertools
 import math
 from fractions import Fraction
 
 import pytest
 
 from altzeta import (
-    CoefficientCache,
     DomainError,
     alternating_binomial_partial_sum,
     alternating_binomial_sum,
@@ -15,6 +15,7 @@ from altzeta import (
     expansion_coefficient_at_neg_int,
     pochhammer,
     pochhammer_derivative,
+    pochhammer_jets,
 )
 
 LADDER_Z = [0.0, 1.0, 2.5, -0.5, complex(1, 2)]
@@ -37,19 +38,6 @@ def nested_sum_reference(z, k, m):
         return total
 
     return float(euler_number_at_zero(k)) * chain(k, m)
-
-
-def exact_nested_layers(z, depth, k_max):
-    """Layers 0..depth at j = 0..k_max from their nested-sum definition in
-    exact rational arithmetic: g_0(j) = (z)_j / j!, and
-    g_i(j) = sum_{l<j} g_{i-1}(l) / (j - l)."""
-    rows = [[pochhammer(z, j) / math.factorial(j) for j in range(k_max + 1)]]
-    for _ in range(depth):
-        prev = rows[-1]
-        rows.append(
-            [sum((prev[l] / (j - l) for l in range(j)), Fraction(0)) for j in range(k_max + 1)]
-        )
-    return rows
 
 
 class TestPochhammer:
@@ -106,36 +94,59 @@ class TestPochhammerDerivative:
             assert abs(fd - pochhammer_derivative(complex(z), k)) <= 1e-6
 
 
+class TestPochhammerJets:
+    @pytest.mark.parametrize(
+        "z", [0, 3, -3, Fraction(-29, 4), Fraction(5, 2)], ids=["0", "3", "-3", "-29/4", "5/2"]
+    )
+    def test_exact_jets_equal_the_nested_layers(self, z, exact_nested_layers):
+        # i! P_k[i] is the layer g_i(k), exactly, in rational arithmetic
+        layers = exact_nested_layers(z, 8, 60)
+        for k, jet in zip(range(61), pochhammer_jets(z, 8)):
+            assert all(isinstance(x, Fraction) for x in jet)
+            assert [math.factorial(i) * x for i, x in enumerate(jet)] == [
+                row[k] for row in layers
+            ]
+
+    def test_entry_types_follow_z(self):
+        jet = next(itertools.islice(pochhammer_jets(2.5, 2), 3, None))
+        assert all(type(x) is float for x in jet)
+        jet = next(itertools.islice(pochhammer_jets(complex(2.5, 1.0), 2), 3, None))
+        assert all(type(x) is complex for x in jet)
+        # a complex z on the real axis runs in real arithmetic
+        assert next(pochhammer_jets(complex(2.5), 1)) == [1.0, 0.0]
+
+    def test_negative_order_rejected(self):
+        with pytest.raises(DomainError):
+            next(pochhammer_jets(1.0, -1))
+
+
 class TestExpansionCoefficient:
     def test_even_k_vanishes(self):
         for z in (0.0, 2.5, complex(1, 1)):
-            cache = CoefficientCache(complex(z))
             for m in range(4):
-                assert expansion_coefficient(cache, 2, m) == 0
-                assert expansion_coefficient(cache, 4, m) == 0
+                assert expansion_coefficient(z, 2, m) == 0
+                assert expansion_coefficient(z, 4, m) == 0
 
     def test_known_points(self):
-        cache0 = CoefficientCache(complex(0.0))
-        assert expansion_coefficient(cache0, 3, 2) == pytest.approx(0.25, abs=1e-15)
-        cache2 = CoefficientCache(complex(2.0))
-        assert expansion_coefficient(cache2, 3, 0) == pytest.approx(1.0, abs=1e-14)
+        assert expansion_coefficient(0.0, 3, 2) == pytest.approx(0.25, abs=1e-15)
+        assert expansion_coefficient(2.0, 3, 0) == pytest.approx(1.0, abs=1e-14)
+        assert expansion_coefficient(0, 3, 2) == Fraction(1, 4)
 
-    def test_against_brute_force_nest(self, magnitude_layers):
+    def test_against_brute_force_nest(self, magnitude_layers, exact_nested_layers):
         for z in (0.0, 1.5, -0.5, complex(0.5, 1.0)):
-            cache = CoefficientCache(complex(z))
             for k in (3, 5, 7):
                 for m in range(4):
-                    got = expansion_coefficient(cache, k, m)
+                    got = expansion_coefficient(z, k, m)
                     want = nested_sum_reference(z, k, m)
                     assert got == pytest.approx(want, rel=1e-12, abs=1e-13)
         # far out on the negative axis the nested sums cancel heavily in
         # floats, so the reference there is the nest in exact arithmetic
         for z in (Fraction(-29, 4), Fraction(-25, 2)):
-            cache = CoefficientCache(complex(z))
+            jets = list(itertools.islice(pochhammer_jets(complex(z), 4), 121))
             mags = magnitude_layers(z, 4, 120)
             for i, row in enumerate(exact_nested_layers(z, 4, 120)):
                 for j, want in enumerate(row):
-                    got = cache.layer(i, j)
+                    got = math.factorial(i) * jets[j][i]
                     if want:
                         assert abs(got - float(want)) <= 1e-9 * abs(float(want))
                     else:  # exact zero (e.g. g_1(26) at -25/2): rounding noise alone
@@ -148,45 +159,42 @@ class TestExpansionCoefficient:
         ids=["2.5", "-7.25", "-12", "0.6+37.3i", "exact-3"],
     )
     def test_stepwise_growth_matches_one_sweep(self, z, step):
-        # Rows grown in small steps, one layer at a time in rotation so that
-        # rows lag and catch up, must equal one sweep bit for bit, and equal
-        # the per-entry accessors.
+        # A pass of lower order, read at every step-th k with the order in
+        # rotation, must equal the leading entries of one sweep of order 8
+        # bit for bit: entry i of a jet never depends on the order asked
+        # for.  The per-entry reader must equal the sweep too.
         z = z if isinstance(z, int) else complex(z)
         depth, k_max = 8, 256
-        stepped, swept = CoefficientCache(z), CoefficientCache(z)
-        swept.rows(depth, k_max)
-        for j in range(0, k_max + 1, step):
-            stepped.rows((j // step) % (depth + 1), j)
-        stepped.rows(depth, k_max)
+        sweep = list(itertools.islice(pochhammer_jets(z, depth), k_max + 1))
 
         def bits(x):
-            return x if stepped.exact else (x.real.hex(), x.imag.hex())
+            return x if isinstance(z, int) else (complex(x).real.hex(), complex(x).imag.hex())
 
-        for i in range(depth + 1):
-            values = stepped.rows(i, k_max)
-            want_values = swept.rows(i, k_max)
-            assert len(values) == len(want_values) == k_max + 1
-            assert [bits(v) for v in values] == [bits(v) for v in want_values]
-            for j in range(k_max + 1):
-                assert bits(stepped.layer(i, j)) == bits(values[j])
+        for order in range(depth + 1):
+            for k, jet in zip(range(k_max + 1), pochhammer_jets(z, order)):
+                if (k // step) % (depth + 1) == order:
+                    assert [bits(x) for x in jet] == [bits(x) for x in sweep[k][: order + 1]]
+        for k in range(step, k_max + 1, step):
+            assert bits(pochhammer_derivative(z, k)) == bits(sweep[k][1])
 
     def test_tail_index_starts_at_two(self):
         with pytest.raises(DomainError):
-            expansion_coefficient(CoefficientCache(1.0), 1, 1)
+            expansion_coefficient(1.0, 1, 1)
+
+    def test_negative_order_rejected(self):
+        with pytest.raises(DomainError):
+            expansion_coefficient(1.0, 3, -1)
 
     @pytest.mark.parametrize("z", LADDER_Z)
     def test_derivative_ladder(self, z):
         h = 1e-6
-        cache_p = CoefficientCache(complex(z) + h)
-        cache_m = CoefficientCache(complex(z) - h)
-        cache_0 = CoefficientCache(complex(z))
+        zc = complex(z)
         for k in range(2, 13):
             for m in range(4):
                 fd = (
-                    expansion_coefficient(cache_p, k, m)
-                    - expansion_coefficient(cache_m, k, m)
+                    expansion_coefficient(zc + h, k, m) - expansion_coefficient(zc - h, k, m)
                 ) / (2 * h)
-                up = expansion_coefficient(cache_0, k, m + 1)
+                up = expansion_coefficient(zc, k, m + 1)
                 assert abs(fd - up) <= 1e-6 * max(1.0, abs(up))
 
 
@@ -199,13 +207,13 @@ class TestNegativeIntegerCoefficient:
                 assert expansion_coefficient_at_neg_int(4, m, n) == 0
 
     def test_matches_generic_cache_exactly(self):
-        # rational arithmetic on both routes; equality is exact
+        # rational arithmetic on both routes, the truncated nested sums and
+        # the jets at the int z = -n; equality is exact
         for n in range(7):
-            cache = CoefficientCache(-n)
             for k in range(2, 13):
                 for m in (1, 2, 3):
                     assert expansion_coefficient_at_neg_int(k, m, n) == expansion_coefficient(
-                        cache, k, m
+                        -n, k, m
                     )
 
     def test_requires_positive_m(self):

@@ -26,7 +26,7 @@ from altzeta import (
     euler_polynomial,
     euler_polynomial_coefficients,
     evaluate,
-    optimal_truncation_index,
+    pochhammer_jets,
     regime_threshold,
     shift_reduce,
     zeta_asymptotic,
@@ -34,8 +34,7 @@ from altzeta import (
     zeta_special_value,
 )
 from altzeta import zeta as zeta_module
-from altzeta.coefficients import CoefficientCache
-from altzeta.zeta import _jet_tail, _pochhammer_jets
+from altzeta.zeta import _jet_tail
 
 
 def brute_force_series(z, q, m, terms=2_000_000):
@@ -114,26 +113,11 @@ class TestSeriesOracle:
 
 
 class TestOptimalTruncation:
-    def test_monotone_decreasing_keeps_everything_but_last(self):
-        assert optimal_truncation_index([3.0, 2.0, 1.0]) == 2
-
-    def test_forced_interior_minimum(self):
-        assert optimal_truncation_index([1.0, 0.1, 0.01, 0.5, 3.0]) == 2
-
-    def test_zeros_are_skipped(self):
-        assert optimal_truncation_index([0.0, 1.0, 0.0, 0.25, 5.0]) == 3
-
-    def test_all_zero(self):
-        assert optimal_truncation_index([0.0, 0.0]) == 2
-
-    def test_empty_rejected(self):
-        with pytest.raises(DomainError):
-            optimal_truncation_index([])
-
     def test_expansion_minimum_sits_near_pi_q(self):
         z, q = complex(2.5), 10.0
         terms = _jet_tail(z, q, 0, 73)[0]
-        idx = 1 + optimal_truncation_index(terms[1:])  # terms[0] is the head
+        # terms[0] is the head; the tail terms at even k >= 2 vanish
+        idx = min(range(1, len(terms), 2), key=lambda k: abs(terms[k]))
         assert abs(idx - math.pi * q) <= 5.0
 
 
@@ -273,17 +257,18 @@ class TestSmallestTermStop:
 
 
 @pytest.mark.parametrize("z", [0.0, 3.0, -3.0, -12.0, 2.5, -2.75, 1 / 3, -33 / 7])
-def test_jets_match_the_exact_layers(z, magnitude_layers):
-    # i! [eps^i] P_k is the layer g_i(k); the exact oracle runs at the
-    # rational value of the double z, so the difference is rounding alone,
-    # a few ulps of the layer's magnitude.  At z = -n the jets keep the
-    # exact zeros of (z)_k / k! for k > n.
-    exact = CoefficientCache(Fraction(z))
+def test_jets_match_the_exact_layers(z, magnitude_layers, exact_nested_layers):
+    # i! [eps^i] P_k is the layer g_i(k); the exact oracle, the nested sums
+    # in rational arithmetic, runs at the rational value of the double z,
+    # so the difference is rounding alone, a few ulps of the layer's
+    # magnitude.  At z = -n the jets keep the exact zeros of (z)_k / k! for
+    # k > n.
+    exact = exact_nested_layers(Fraction(z), 8, 60)
     mags = magnitude_layers(z, 8, 60)
     n = -int(z) if z <= 0 and z == int(z) else None
-    for k, jet in zip(range(61), _pochhammer_jets(complex(z), 8)):
+    for k, jet in zip(range(61), pochhammer_jets(complex(z), 8)):
         for i in range(9):
-            want = float(exact.layer(i, k))
+            want = float(exact[i][k])
             got = math.factorial(i) * jet[i]
             assert abs(got - want) <= 64 * 2.2e-16 * mags[i][k], (k, i)
         if n is not None and k > n:
@@ -553,7 +538,7 @@ class TestExplicitNegativeInteger:
 
         assert expansion_coefficient_at_neg_int(7, 2, 3) == 0
         zc = complex(-3.0)
-        jet = next(itertools.islice(_pochhammer_jets(zc, 2), 7, None))
+        jet = next(itertools.islice(pochhammer_jets(zc, 2), 7, None))
         scale = magnitude_layers(zc, 2, 7)[2][7]
         assert 0 < abs(2 * jet[2]) <= 64 * 2.2e-16 * scale  # noise, not snapped
         terms, bounds, best = _jet_tail(zc, 10.0, 2, 17, 4)
